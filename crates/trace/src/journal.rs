@@ -414,10 +414,13 @@ impl Journal {
         }
     }
 
-    /// Push buffered records to the OS.
+    /// Push buffered records to the OS, then wake any
+    /// [`JournalTail`](crate::JournalTail) following this path.
     pub fn flush(&mut self) -> io::Result<()> {
         self.unflushed = 0;
-        self.writer.flush()
+        let flushed = self.writer.flush();
+        crate::tail::wake(&self.path);
+        flushed
     }
 
     /// Read every record of a journal file, in order.

@@ -410,12 +410,9 @@ fn main() -> ExitCode {
     task.cancel = Some(cancel.clone());
     {
         let cancel = cancel.clone();
-        std::thread::spawn(move || loop {
-            if prose::serve::signals::pending().is_some() {
-                cancel.store(true, std::sync::atomic::Ordering::SeqCst);
-                return;
-            }
-            std::thread::sleep(std::time::Duration::from_millis(25));
+        std::thread::spawn(move || {
+            prose::serve::signals::wait();
+            cancel.store(true, std::sync::atomic::Ordering::SeqCst);
         });
     }
     if task.workers > 1 {

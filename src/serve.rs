@@ -35,43 +35,74 @@
 //! the event format.
 
 use prose_core::job::{job_id_for, run_job, JobError, JobRequest, JobResult, JobSpec};
-use prose_trace::jobstate::{append_state, current_state, JobState};
-use prose_trace::{Journal, JournalTail};
+use prose_trace::jobstate::{append_state, current_state, load_states, JobState};
+use prose_trace::{tail, Journal, JournalTail};
 use serde::Serialize;
 use std::collections::{HashMap, HashSet, VecDeque};
 use std::io::{self, BufRead, BufReader, Read, Write};
-use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::net::{Ipv4Addr, Ipv6Addr, SocketAddr, TcpListener, TcpStream};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 use std::time::{Duration, Instant};
 
-/// Process-wide signal latch, dependency-free: `std` already links libc
-/// on Unix, so the raw `signal(2)` binding costs nothing. Handlers only
-/// store into an atomic — every loop in this crate polls. (glibc's
-/// `signal` installs BSD semantics with `SA_RESTART`, so nothing here may
-/// rely on syscalls being interrupted; the accept loop is non-blocking
-/// and every wait is a bounded timeout.)
+/// Process-wide signal latch with a self-pipe wake, dependency-free: `std`
+/// already links libc on Unix, so the raw `signal(2)` and `write(2)`
+/// bindings cost nothing. The first latched signal also writes one byte
+/// into a pipe, and [`wait`] blocks reading it, so a thread that has
+/// nothing to do until shutdown sleeps in the kernel instead of polling.
+/// glibc's `signal` installs BSD semantics with `SA_RESTART`, so no
+/// blocking syscall elsewhere is interrupted by a signal: the service's
+/// accept loop is woken by a self-connect from a thread parked in
+/// [`wait`] (see [`Server::run`](super::Server::run)).
 pub mod signals {
-    use std::sync::atomic::{AtomicUsize, Ordering};
+    use std::io::{PipeReader, PipeWriter, Read, Write};
+    use std::sync::atomic::{AtomicI32, AtomicUsize, Ordering};
+    use std::sync::OnceLock;
 
     pub const SIGINT: i32 = 2;
     pub const SIGTERM: i32 = 15;
 
     static PENDING: AtomicUsize = AtomicUsize::new(0);
+    /// The self-pipe, created on first use.
+    static PIPE: OnceLock<(PipeReader, PipeWriter)> = OnceLock::new();
+    /// Raw write end of [`PIPE`] for the signal handler (`-1` until created).
+    static WAKE_FD: AtomicI32 = AtomicI32::new(-1);
 
     #[cfg(unix)]
     extern "C" {
         fn signal(signum: i32, handler: usize) -> usize;
+        fn write(fd: i32, buf: *const u8, count: usize) -> isize;
+    }
+
+    fn pipe() -> &'static (PipeReader, PipeWriter) {
+        PIPE.get_or_init(|| {
+            let (r, w) = std::io::pipe().expect("creating the signal self-pipe");
+            #[cfg(unix)]
+            WAKE_FD.store(std::os::fd::AsRawFd::as_raw_fd(&w), Ordering::SeqCst);
+            (r, w)
+        })
     }
 
     extern "C" fn on_signal(signum: i32) {
-        // Async-signal-safe: a single atomic store.
-        PENDING.store(signum as usize, Ordering::SeqCst);
+        // Async-signal-safe: an atomic swap and, for the first signal
+        // only, one `write(2)` — so the pipe never holds more than a byte
+        // and the write can never block.
+        if PENDING.swap(signum as usize, Ordering::SeqCst) == 0 {
+            // SAFETY: `write(2)` reads one byte from a live stack array.
+            // `install` creates the pipe before it installs this handler,
+            // so the descriptor is the pipe's write end, which `PIPE`
+            // keeps open for the life of the process.
+            #[cfg(unix)]
+            unsafe {
+                write(WAKE_FD.load(Ordering::SeqCst), [1u8].as_ptr(), 1);
+            }
+        }
     }
 
     /// Install the latch for SIGINT and SIGTERM. No-op off Unix.
     pub fn install() {
+        pipe();
         #[cfg(unix)]
         unsafe {
             signal(SIGINT, on_signal as extern "C" fn(i32) as usize);
@@ -89,7 +120,27 @@ pub mod signals {
 
     /// Latch a signal from process context (tests, in-process shutdown).
     pub fn raise(signum: i32) {
-        PENDING.store(signum as usize, Ordering::SeqCst);
+        let (_, w) = pipe();
+        if PENDING.swap(signum as usize, Ordering::SeqCst) == 0 {
+            let _ = (&*w).write(&[1]);
+        }
+    }
+
+    /// Block until a signal is latched, then return it. The latch is
+    /// sticky, so once one is, every call returns at once.
+    pub fn wait() -> i32 {
+        let (r, w) = pipe();
+        loop {
+            if let Some(s) = pending() {
+                return s;
+            }
+            let mut byte = [0u8];
+            if matches!((&*r).read(&mut byte), Ok(1)) {
+                // Hand the byte back: every other thread parked here
+                // must wake too.
+                let _ = (&*w).write(&byte);
+            }
+        }
     }
 }
 
@@ -145,6 +196,8 @@ struct Inner {
     /// Cancel tokens of currently running jobs, plus explicit client
     /// cancel requests (to distinguish them from drain checkpoints).
     running: Mutex<HashMap<String, Arc<AtomicBool>>>,
+    /// Notified on every removal from `running`; the drain waits on it.
+    running_cv: Condvar,
     cancel_requested: Mutex<HashSet<String>>,
     shutdown: AtomicBool,
     draining: AtomicBool,
@@ -179,6 +232,19 @@ impl Inner {
         current_state(self.state_path(id)).unwrap_or(JobState::Queued)
     }
 
+    /// Journal a state transition, then wake the job's event streams.
+    fn transition(&self, id: &str, state: JobState, detail: &str) -> io::Result<()> {
+        let appended = append_state(self.state_path(id), state, detail);
+        tail::wake(&self.journal_path(id));
+        appended
+    }
+
+    /// Drop `id` from the running set and wake the drain.
+    fn finish_running(&self, id: &str) {
+        lock_plain(&self.running).remove(id);
+        self.running_cv.notify_all();
+    }
+
     fn result_of(&self, id: &str) -> Option<JobResult> {
         let text = std::fs::read_to_string(self.result_path(id)).ok()?;
         serde_json::from_str(&text).ok()
@@ -200,7 +266,6 @@ impl Server {
     pub fn new(config: ServeConfig) -> io::Result<Server> {
         std::fs::create_dir_all(&config.jobs_dir)?;
         let listener = TcpListener::bind(config.addr)?;
-        listener.set_nonblocking(true)?;
         let inner = Arc::new(Inner {
             jobs_dir: config.jobs_dir.clone(),
             queue: Mutex::new(VecDeque::new()),
@@ -208,6 +273,7 @@ impl Server {
             queue_cap: config.queue_cap.max(1),
             submit_lock: Mutex::new(()),
             running: Mutex::new(HashMap::new()),
+            running_cv: Condvar::new(),
             cancel_requested: Mutex::new(HashSet::new()),
             shutdown: AtomicBool::new(false),
             draining: AtomicBool::new(false),
@@ -250,41 +316,73 @@ impl Server {
     /// Serve until SIGINT/SIGTERM, then drain: stop accepting, give
     /// in-flight jobs `drain_ms` to finish, checkpoint the rest back to
     /// `queued`, flush every WAL, and return cleanly.
+    ///
+    /// Nothing here polls. The listener blocks in `accept`; a watcher
+    /// thread parks in [`signals::wait`] and, once a signal is latched,
+    /// connects to the listener once so that `accept` returns and the
+    /// loop sees the latch.
     pub fn run(mut self) -> io::Result<()> {
-        while signals::pending().is_none() {
-            match self.listener.accept() {
-                Ok((stream, _)) => {
-                    let inner = Arc::clone(&self.inner);
-                    std::thread::spawn(move || handle_connection(&inner, stream));
-                }
-                Err(e) if e.kind() == io::ErrorKind::WouldBlock => {
-                    std::thread::sleep(Duration::from_millis(15));
-                }
-                Err(e) => return Err(e),
-            }
+        let mut wake_addr = self.listener.local_addr()?;
+        if wake_addr.ip().is_unspecified() {
+            wake_addr.set_ip(match wake_addr {
+                SocketAddr::V4(_) => Ipv4Addr::LOCALHOST.into(),
+                SocketAddr::V6(_) => Ipv6Addr::LOCALHOST.into(),
+            });
         }
+        let watcher = std::thread::spawn(move || {
+            signals::wait();
+            let _ = TcpStream::connect(wake_addr);
+        });
+        loop {
+            let stream = match self.listener.accept() {
+                Ok((stream, _)) => stream,
+                Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
+                Err(e) => return Err(e),
+            };
+            if signals::pending().is_some() {
+                break;
+            }
+            let inner = Arc::clone(&self.inner);
+            std::thread::spawn(move || handle_connection(&inner, stream));
+        }
+        let _ = watcher.join();
         eprintln!(
             "[prose-served] signal {:?}: draining ({} ms window)",
             signals::pending(),
             self.drain_ms
         );
         // Stop pulling queued work, but let in-flight jobs finish within
-        // the drain window.
+        // the drain window. `shutdown` is set under the queue lock so an
+        // idle runner cannot miss the notify between its check and its
+        // wait.
         self.inner.draining.store(true, Ordering::SeqCst);
-        self.inner.shutdown.store(true, Ordering::SeqCst);
+        {
+            let _queue = lock_plain(&self.inner.queue);
+            self.inner.shutdown.store(true, Ordering::SeqCst);
+        }
         self.inner.queue_cv.notify_all();
+        // Event streams on jobs that will not move again return now.
+        tail::wake_all();
         let deadline = Instant::now() + Duration::from_millis(self.drain_ms);
-        while Instant::now() < deadline {
-            if lock_plain(&self.inner.running).is_empty() {
+        let mut running = lock_plain(&self.inner.running);
+        while !running.is_empty() {
+            let left = deadline.saturating_duration_since(Instant::now());
+            if left.is_zero() {
                 break;
             }
-            std::thread::sleep(Duration::from_millis(20));
+            running = self
+                .inner
+                .running_cv
+                .wait_timeout(running, left)
+                .unwrap_or_else(std::sync::PoisonError::into_inner)
+                .0;
         }
         // Window over: cancel the stragglers at their next evaluation
         // boundary; they checkpoint back to `queued` for the next process.
-        for token in lock_plain(&self.inner.running).values() {
+        for token in running.values() {
             token.store(true, Ordering::SeqCst);
         }
+        drop(running);
         for h in self.runner_handles.drain(..) {
             let _ = h.join();
         }
@@ -330,11 +428,7 @@ fn recover_jobs(inner: &Arc<Inner>) -> io::Result<RecoveryReport> {
             .map_err(|e| io::Error::new(e.kind(), format!("repairing job {id}: {e}")))?;
         report.quarantined += u64::from(rep.damaged());
         if state == JobState::Running {
-            append_state(
-                inner.state_path(&id),
-                JobState::Queued,
-                "recovered after restart",
-            )?;
+            inner.transition(&id, JobState::Queued, "recovered after restart")?;
         }
         lock_plain(&inner.queue).push_back(id.clone());
         report.resumed.push(id);
@@ -355,11 +449,10 @@ fn runner_loop(inner: &Arc<Inner>) {
                 if let Some(id) = q.pop_front() {
                     break id;
                 }
-                let (guard, _) = inner
+                q = inner
                     .queue_cv
-                    .wait_timeout(q, Duration::from_millis(100))
+                    .wait(q)
                     .unwrap_or_else(std::sync::PoisonError::into_inner);
-                q = guard;
             }
         };
         run_one(inner, &id);
@@ -386,28 +479,24 @@ fn run_one(inner: &Arc<Inner>, id: &str) {
     let request = match load_request(&inner.job_dir(id)) {
         Ok(r) => r,
         Err(e) => {
-            let _ = append_state(inner.state_path(id), JobState::Failed, &e);
-            lock_plain(&inner.running).remove(id);
+            let _ = inner.transition(id, JobState::Failed, &e);
+            inner.finish_running(id);
             return;
         }
     };
-    let _ = append_state(inner.state_path(id), JobState::Running, "");
+    let _ = inner.transition(id, JobState::Running, "");
     let outcome = run_job(&request, &inner.journal_path(id), Some(Arc::clone(&cancel)));
-    lock_plain(&inner.running).remove(id);
+    inner.finish_running(id);
     match outcome {
         Ok(result) => {
             // Result before state: `done` in the WAL implies result.json
             // exists. A kill between them leaves `running`, and the next
             // process re-runs the job as pure cache replay.
             if let Err(e) = persist_result(&inner.result_path(id), &result) {
-                let _ = append_state(
-                    inner.state_path(id),
-                    JobState::Failed,
-                    &format!("persisting result: {e}"),
-                );
+                let _ = inner.transition(id, JobState::Failed, &format!("persisting result: {e}"));
                 return;
             }
-            let _ = append_state(inner.state_path(id), JobState::Done, "");
+            let _ = inner.transition(id, JobState::Done, "");
             inner.completed.fetch_add(1, Ordering::Relaxed);
         }
         Err(JobError::Cancelled) => {
@@ -415,17 +504,13 @@ fn run_one(inner: &Arc<Inner>, id: &str) {
             if !explicit && inner.draining.load(Ordering::SeqCst) {
                 // Drain checkpoint: back to `queued`; the next process
                 // resumes from the journal with zero duplicate work.
-                let _ = append_state(
-                    inner.state_path(id),
-                    JobState::Queued,
-                    "checkpointed by drain",
-                );
+                let _ = inner.transition(id, JobState::Queued, "checkpointed by drain");
             } else {
-                let _ = append_state(inner.state_path(id), JobState::Cancelled, "client cancel");
+                let _ = inner.transition(id, JobState::Cancelled, "client cancel");
             }
         }
         Err(e) => {
-            let _ = append_state(inner.state_path(id), JobState::Failed, &e.to_string());
+            let _ = inner.transition(id, JobState::Failed, &e.to_string());
         }
     }
 }
@@ -496,7 +581,7 @@ fn submit(inner: &Arc<Inner>, request: &JobRequest) -> Result<(String, bool), (u
         fsync_dir(&tmp)?;
         std::fs::rename(&tmp, inner.job_dir(&id))?;
         fsync_dir(&inner.jobs_dir)?;
-        append_state(inner.state_path(&id), JobState::Queued, "")
+        inner.transition(&id, JobState::Queued, "")
     })();
     if let Err(e) = persist {
         let _ = std::fs::remove_dir_all(&tmp);
@@ -644,11 +729,10 @@ struct CancelBody {
 }
 
 fn status_body(inner: &Inner, id: &str, created: Option<bool>) -> StatusBody {
-    let state = inner.state_of(id);
-    let detail = prose_trace::jobstate::load_states(inner.state_path(id))
+    let last = load_states(inner.state_path(id))
         .ok()
-        .and_then(|s| s.last().map(|r| r.detail.clone()))
-        .unwrap_or_default();
+        .and_then(|mut s| s.pop());
+    let (state, detail) = last.map_or((JobState::Queued, String::new()), |r| (r.state, r.detail));
     let result = (state == JobState::Done)
         .then(|| inner.result_of(id))
         .flatten();
@@ -767,11 +851,7 @@ fn handle_connection(inner: &Arc<Inner>, mut stream: TcpStream) {
                     } else {
                         // Still queued: journal the cancel now; the
                         // runner skips terminal jobs.
-                        let _ = append_state(
-                            inner.state_path(id),
-                            JobState::Cancelled,
-                            "client cancel",
-                        );
+                        let _ = inner.transition(id, JobState::Cancelled, "client cancel");
                         lock_plain(&inner.cancel_requested).remove(*id);
                         JobState::Cancelled
                     }
@@ -794,6 +874,13 @@ fn handle_connection(inner: &Arc<Inner>, mut stream: TcpStream) {
 
 /// Server-sent events: every trial-journal line as a `data:` frame, then
 /// one `state` event when the job reaches a terminal state.
+///
+/// Between polls the stream sleeps on the journal's flush generation
+/// ([`JournalTail::wait_past`]), which every journal flush, every state
+/// transition and the drain bump. The generation is read before the job
+/// state and the state before the poll: a line flushed after the
+/// generation was read moves it, so the wait returns at once, and a
+/// terminal state read before the poll means the poll sees every line.
 fn stream_events(inner: &Arc<Inner>, stream: &mut TcpStream, id: &str) {
     let head = "HTTP/1.1 200 OK\r\nContent-Type: text/event-stream\r\nCache-Control: no-cache\r\nConnection: close\r\n\r\n";
     if stream.write_all(head.as_bytes()).is_err() {
@@ -801,6 +888,8 @@ fn stream_events(inner: &Arc<Inner>, stream: &mut TcpStream, id: &str) {
     }
     let mut tail = JournalTail::new(inner.journal_path(id));
     loop {
+        let seen = tail.generation();
+        let state = inner.state_of(id);
         match tail.poll() {
             Ok(lines) => {
                 for line in lines {
@@ -817,7 +906,6 @@ fn stream_events(inner: &Arc<Inner>, stream: &mut TcpStream, id: &str) {
         if stream.flush().is_err() {
             return;
         }
-        let state = inner.state_of(id);
         if state.is_terminal() {
             let _ = stream.write_all(
                 format!("event: state\ndata: {{\"state\":\"{}\"}}\n\n", state.name()).as_bytes(),
@@ -828,7 +916,7 @@ fn stream_events(inner: &Arc<Inner>, stream: &mut TcpStream, id: &str) {
         if inner.shutdown.load(Ordering::SeqCst) {
             return;
         }
-        std::thread::sleep(Duration::from_millis(40));
+        tail.wait_past(seen);
     }
 }
 
@@ -842,6 +930,32 @@ mod tests {
         assert!(c.queue_cap >= 1);
         assert!(c.runners >= 1);
         assert_eq!(c.addr.ip().to_string(), "127.0.0.1");
+    }
+
+    #[test]
+    fn wait_returns_after_raise() {
+        let (tx, rx) = std::sync::mpsc::channel();
+        let waiters: Vec<_> = (0..2)
+            .map(|_| {
+                let tx = tx.clone();
+                std::thread::spawn(move || tx.send(signals::wait()).unwrap())
+            })
+            .collect();
+        assert!(
+            rx.recv_timeout(Duration::from_millis(50)).is_err(),
+            "no signal latched yet"
+        );
+        signals::raise(signals::SIGINT);
+        for _ in &waiters {
+            let got = rx
+                .recv_timeout(Duration::from_secs(5))
+                .expect("raise wakes every waiter");
+            assert_eq!(got, signals::SIGINT);
+        }
+        for w in waiters {
+            w.join().unwrap();
+        }
+        assert_eq!(signals::wait(), signals::SIGINT, "the latch is sticky");
     }
 
     #[test]

@@ -2,11 +2,14 @@
 //! kill-9-and-restart differential (byte-identical final configuration,
 //! zero duplicate interpreter evaluations), idempotent concurrent
 //! submission, bounded-queue backpressure, the cached-result read path,
-//! and SSE replay of a finished job's journal.
+//! SSE replay of a finished job's journal, live SSE streams, and the
+//! prompt stop of an idle server.
 //!
-//! Every test runs the daemon as a real subprocess (own signal latch, own
-//! address) against its own temp jobs directory, and talks to it over raw
-//! HTTP/1.1 on `std::net::TcpStream` — the same surface clients use.
+//! Every test but the last runs the daemon as a real subprocess (own
+//! signal latch, own address) against its own temp jobs directory, and
+//! talks to it over raw HTTP/1.1 on `std::net::TcpStream` — the same
+//! surface clients use. The idle-stop test serves in process: it latches
+//! this process's signal, which no other test here reads.
 
 use prose::core::job::JobSpec;
 use prose::core::{run_job, JobRequest};
@@ -382,5 +385,117 @@ fn bounded_queue_rejects_with_429_and_drains_cleanly_on_sigterm() {
     });
     assert_eq!(exit.code(), Some(0), "clean drain exit: {exit:?}");
 
+    let _ = std::fs::remove_dir_all(&jobs_dir);
+}
+
+#[test]
+fn live_event_streams_deliver_each_journal_line_once_in_seq_order() {
+    let jobs_dir = tmp_dir("live");
+    let (mut daemon, addr) = spawn_daemon(&jobs_dir, &[]);
+    // Submit every job first, then follow them all at once: with one
+    // runner, the streams attach to jobs that are queued, running or
+    // already done, and must wait across state transitions and flushes.
+    // Odd seeds run a short search that journals several trials.
+    let ids: Vec<String> = (0..5)
+        .map(|seed| {
+            let body = if seed % 2 == 0 {
+                fast_request(seed)
+            } else {
+                serde_json::to_string(&JobRequest {
+                    program: program(10),
+                    spec: spec(1e-9, seed),
+                })
+                .unwrap()
+            };
+            let (code, resp) = http(&addr, "POST", "/jobs", &body);
+            assert_eq!(code, 201, "{resp}");
+            json_str_field(&resp, "id").expect("id in response")
+        })
+        .collect();
+    let streams: Vec<(u16, String)> = std::thread::scope(|s| {
+        let handles: Vec<_> = ids
+            .iter()
+            .map(|id| {
+                let addr = addr.as_str();
+                s.spawn(move || http(addr, "GET", &format!("/jobs/{id}/events"), ""))
+            })
+            .collect();
+        handles.into_iter().map(|h| h.join().unwrap()).collect()
+    });
+
+    for (id, (code, events)) in ids.iter().zip(&streams) {
+        assert_eq!(*code, 200);
+        let frames: Vec<&str> = events.split("\n\n").filter(|f| !f.is_empty()).collect();
+        let (last, data) = frames.split_last().expect("at least the state frame");
+        assert_eq!(
+            *last, "event: state\ndata: {\"state\":\"done\"}",
+            "{events}"
+        );
+        let streamed: Vec<&str> = data
+            .iter()
+            .map(|f| {
+                f.strip_prefix("data: ")
+                    .unwrap_or_else(|| panic!("frame {f:?}"))
+            })
+            .collect();
+        let journal_path = jobs_dir.join(id).join("journal.jsonl");
+        let journal = std::fs::read_to_string(&journal_path).unwrap();
+        let lines: Vec<&str> = journal.lines().filter(|l| !l.is_empty()).collect();
+        assert!(!lines.is_empty(), "job {id} journaled nothing");
+        assert_eq!(
+            streamed, lines,
+            "job {id}: every journal line exactly once, in order"
+        );
+        let seqs: Vec<u64> = Journal::load(&journal_path)
+            .unwrap()
+            .iter()
+            .map(|r| r.seq)
+            .collect();
+        assert_eq!(seqs.len(), streamed.len());
+        assert!(seqs.windows(2).all(|w| w[0] < w[1]), "seq order: {seqs:?}");
+    }
+
+    daemon.kill().unwrap();
+    daemon.wait().unwrap();
+    let _ = std::fs::remove_dir_all(&jobs_dir);
+}
+
+#[test]
+fn idle_server_stops_promptly_on_shutdown_request() {
+    use prose::serve::{signals, ServeConfig, Server};
+    let jobs_dir = tmp_dir("idle");
+    let server = Server::new(ServeConfig {
+        addr: "127.0.0.1:0".parse().unwrap(),
+        jobs_dir: jobs_dir.clone(),
+        queue_cap: 4,
+        runners: 1,
+        drain_ms: 2_000,
+    })
+    .unwrap();
+    let addr = server.local_addr().unwrap().to_string();
+    let (tx, rx) = std::sync::mpsc::channel();
+    let serving = std::thread::spawn(move || {
+        let ran = server.run();
+        tx.send(Instant::now()).unwrap();
+        ran
+    });
+    // The accept loop is live and blocked, not spinning.
+    let (code, _) = http(&addr, "GET", "/healthz", "");
+    assert_eq!(code, 200);
+    assert!(rx.try_recv().is_err(), "still serving");
+
+    // `Server::request_shutdown` latches exactly this; `run` owns the
+    // server by now, so raise it directly.
+    let asked = Instant::now();
+    signals::raise(signals::SIGTERM);
+    let stopped = rx
+        .recv_timeout(Duration::from_secs(10))
+        .expect("run returns after the shutdown request");
+    serving.join().unwrap().unwrap();
+    let took = stopped.duration_since(asked);
+    assert!(
+        took < Duration::from_millis(500),
+        "idle server took {took:?} to stop (drain window 2000 ms)"
+    );
     let _ = std::fs::remove_dir_all(&jobs_dir);
 }
