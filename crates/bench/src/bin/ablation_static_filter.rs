@@ -3,9 +3,6 @@
 //! interprocedural flow) as a *pre-filter* on delta-debugging candidates,
 //! and compare dynamic-evaluation cost and search quality against the
 //! unfiltered search.
-//!
-//! Also runs the random-search baseline at the same variant budget, to show
-//! the delta-debugging strategy earns its keep.
 
 use prose_analysis::flow::FpFlowGraph;
 use prose_analysis::static_cost::static_penalty_scoped;
@@ -16,7 +13,6 @@ use prose_core::tuner::{config_to_map, PerfScope};
 use prose_core::DynamicEvaluator;
 use prose_fortran::sema::ScopeId;
 use prose_search::dd::{DdParams, DeltaDebug};
-use prose_search::random::RandomSearch;
 use prose_search::{Config, Evaluator, Outcome, Status};
 
 /// Which static pre-filter to apply. Both are scoped to the hotspot
@@ -125,11 +121,6 @@ fn main() {
     let (v_skipped, v_evaluated) = (filtered_v.skipped, filtered_v.evaluated);
     let s_vect = r_vect.status_summary();
 
-    // Random baseline at the same dynamic-evaluation budget.
-    let mut eval3 = DynamicEvaluator::new(&task).expect("baseline");
-    let r_rand = RandomSearch::new(s_plain.total, 31).run(&mut eval3);
-    let s_rand = r_rand.status_summary();
-
     let rows = vec![
         vec![
             "delta-debug (paper)".into(),
@@ -151,13 +142,6 @@ fn main() {
             v_skipped.to_string(),
             format!("{:.2}x", s_vect.best_speedup),
             r_vect.one_minimal.to_string(),
-        ],
-        vec![
-            "random (same budget)".into(),
-            s_rand.total.to_string(),
-            "0".into(),
-            format!("{:.2}x", s_rand.best_speedup),
-            "false".into(),
         ],
     ];
     println!("Ablation — static casting-penalty pre-filter (MPAS-A hotspot search)");

@@ -70,56 +70,53 @@ pub fn search_scope() -> PerfScope {
 }
 
 /// Variant-generation path for every harness search: `--variant-path
-/// fast|faithful` on any binary's command line (default fast), or the
-/// `PROSE_VARIANT_PATH` environment variable.
+/// fast|faithful` on any binary's command line (default fast).
 pub fn variant_path() -> VariantPath {
-    cli_or_env("--variant-path", "PROSE_VARIANT_PATH")
+    cli_flag("--variant-path")
         .and_then(|s| s.parse().ok())
         .unwrap_or_default()
 }
 
 /// Fast-path cross-check budget: the first K uncached evaluations per
 /// search are re-run through the faithful pipeline and asserted
-/// bit-identical (`--crosscheck K` / `PROSE_CROSSCHECK`, default 1).
+/// bit-identical (`--crosscheck K`, default 1).
 pub fn crosscheck() -> usize {
-    cli_or_env("--crosscheck", "PROSE_CROSSCHECK")
+    cli_flag("--crosscheck")
         .and_then(|s| s.parse().ok())
         .unwrap_or(1)
 }
 
 /// Worker-pool width for every harness search: `--workers N` on any
-/// binary's command line, or the `PROSE_WORKERS` environment variable
-/// (default 1 = serial). Results are identical at any width; only wall
-/// clock changes.
+/// binary's command line (default 1 = serial). Results are identical at
+/// any width; only wall clock changes.
 pub fn workers() -> usize {
-    cli_or_env("--workers", "PROSE_WORKERS")
+    cli_flag("--workers")
         .and_then(|s| s.parse().ok())
         .filter(|&n| n >= 1)
         .unwrap_or(1)
 }
 
 /// Per-variant wall-clock deadline for every harness search:
-/// `--deadline-ms MS` on any binary's command line, or the
-/// `PROSE_DEADLINE_MS` environment variable (default: disabled). Results
-/// are identical whenever the deadline never fires.
+/// `--deadline-ms MS` on any binary's command line (default: disabled).
+/// Results are identical whenever the deadline never fires.
 pub fn deadline_ms() -> Option<u64> {
-    cli_or_env("--deadline-ms", "PROSE_DEADLINE_MS")
+    cli_flag("--deadline-ms")
         .and_then(|s| s.parse().ok())
         .filter(|&n| n >= 1)
 }
 
 /// Transient-failure retry budget for every harness search:
-/// `--retry-attempts K` / `PROSE_RETRY_ATTEMPTS` (default 0 = disabled).
+/// `--retry-attempts K` (default 0 = disabled).
 pub fn retry_attempts() -> u32 {
-    cli_or_env("--retry-attempts", "PROSE_RETRY_ATTEMPTS")
+    cli_flag("--retry-attempts")
         .and_then(|s| s.parse().ok())
         .unwrap_or(0)
 }
 
-fn cli_or_env(flag: &str, var: &str) -> Option<String> {
+/// The value following `flag` on this binary's command line.
+fn cli_flag(flag: &str) -> Option<String> {
     let argv: Vec<String> = std::env::args().collect();
     argv.iter()
         .position(|a| a == flag)
         .and_then(|i| argv.get(i + 1).cloned())
-        .or_else(|| std::env::var(var).ok())
 }

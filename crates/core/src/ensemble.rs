@@ -260,7 +260,7 @@ pub fn validate_ensemble(
         .collect();
     for m in 1..=params.members {
         let mtask = member_task(task, m, params)?;
-        let eval = DynamicEvaluator::new(&mtask).map_err(EnsembleError::Run)?;
+        let mut eval = DynamicEvaluator::new(&mtask).map_err(EnsembleError::Run)?;
         // One batch per member: candidate evaluations ride the same worker
         // pool as search probes, and come back (and are journaled) in
         // candidate order regardless of worker count.

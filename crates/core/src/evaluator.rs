@@ -15,16 +15,17 @@
 //!    slots, so the search applies outcomes in submission order no matter
 //!    which worker finished first. Worker panics are captured per slot
 //!    and re-raised in batch order.
-//! 2. **Single-flight memo** — the config cache carries an in-flight set
-//!    guarded by the same lock; concurrent requests for one configuration
-//!    wait for the first evaluation instead of repeating it, so every
-//!    configuration runs the interpreter at most once per journal.
-//! 3. **Deferred journal writes** — workers only *record* trials; the
-//!    submitting thread appends them through the single journal writer in
-//!    batch index order, so sequence numbers and record order in the file
-//!    are identical at any worker count. Per-trial fault plans are keyed
-//!    by a hash of the configuration ([`prose_faults::config_hash`]), not
-//!    by evaluation arrival order.
+//! 2. **Dedupe before fan-out** — the submitting thread answers memo hits
+//!    and repeats within the batch itself, in submission order, and hands
+//!    the pool only the first copy of each uncached configuration, so
+//!    every configuration runs the interpreter at most once per journal
+//!    and the copy that runs is the same at any width.
+//! 3. **Deferred journal writes** — workers only *compute* trials; the
+//!    submitting thread owns the memo, counters and journal, and applies
+//!    results in batch index order, so sequence numbers and record order
+//!    in the file are identical at any worker count. Per-trial fault
+//!    plans are keyed by a hash of the configuration
+//!    ([`prose_faults::config_hash`]), not by evaluation arrival order.
 //!
 //! ## Memoization and the trial journal
 //!
@@ -38,7 +39,7 @@
 //! evaluations and the journal doubles as the experiment's audit trail.
 
 use crate::speedup::{speedup, NoiseModel};
-use crate::tuner::{PerfScope, TuningTask, VariantPath};
+use crate::tuner::{config_to_map, PerfScope, TuningTask, VariantPath};
 use prose_analysis::flow::FpFlowGraph;
 use prose_fortran::ast::Procedure;
 use prose_fortran::precision::PrecisionMap;
@@ -51,21 +52,10 @@ use prose_search::{Config, Outcome, Status};
 use prose_trace::{Counters, Journal, ShadowTrial, StageClock, TrialRecord};
 use prose_transform::{make_variant, VariantPlan, VariantTemplate};
 use serde::{Deserialize, Serialize};
-use std::collections::{BTreeMap, BTreeSet, HashMap};
+use std::collections::{BTreeMap, BTreeSet, HashMap, HashSet};
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Condvar, Mutex, MutexGuard, PoisonError};
 use std::time::{Duration, Instant};
-
-/// Poison-tolerant lock acquisition. A worker panic while holding a lock
-/// poisons it; every panic that can unwind through a lock scope here is
-/// either contained per-trial or deliberately re-raised (strict desync,
-/// injected kill), so the guarded data is never left half-updated in a way
-/// the search cares about. Propagating the poison would instead cascade
-/// one contained failure into a panic on every later trial.
-fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
-    m.lock().unwrap_or_else(PoisonError::into_inner)
-}
 
 /// Why a variant evaluation failed, one level finer than [`Status`].
 ///
@@ -78,9 +68,8 @@ fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
 pub enum FailureKind {
     /// Simulated-cycle budget or event-limit valve tripped.
     Timeout,
-    /// Wall-clock deadline exceeded — the supervision layer killed a run
-    /// (or the watchdog declared a stuck election dead). Real elapsed
-    /// time, unlike [`FailureKind::Timeout`]'s modeled cycles.
+    /// Wall-clock deadline exceeded — the supervision layer killed a run.
+    /// Real elapsed time, unlike [`FailureKind::Timeout`]'s modeled cycles.
     Deadline,
     /// Non-finite value surfaced where the interpreter checks for one.
     FpException,
@@ -328,18 +317,6 @@ fn is_transient(rec: &VariantRecord) -> bool {
     )
 }
 
-/// Config-keyed memoization state. The in-flight set lives under the same
-/// lock as the map so a membership check and an insertion are atomic:
-/// concurrent workers asking for the same configuration elect exactly one
-/// evaluator, and the rest wait on [`DynamicEvaluator::memo_cv`].
-#[derive(Default)]
-struct MemoState {
-    map: HashMap<Config, VariantRecord>,
-    /// In-flight configurations, keyed to their election time so the
-    /// watchdog can spot a stuck evaluator by wall-clock age.
-    inflight: HashMap<Config, Instant>,
-}
-
 /// One completed evaluation attempt that was retried: its failed record
 /// plus the bookkeeping its journal entry needs.
 struct AttemptTrial {
@@ -371,33 +348,17 @@ struct TrialMeta {
 }
 
 impl TrialMeta {
-    fn cached_hit(wall_ms: f64, worker: Option<u32>) -> Self {
+    /// A memo answer, given on the submitting thread.
+    fn cached_hit(wall_ms: f64) -> Self {
         TrialMeta {
             cached: true,
             wall_ms,
             clock: StageClock::new(),
             counters: Counters::new(),
-            worker,
+            worker: None,
             attempt: 0,
             prior: Vec::new(),
         }
-    }
-}
-
-/// Removes the in-flight marker for a configuration even when the
-/// evaluation unwinds, so waiters blocked on the single-flight condvar are
-/// released instead of deadlocking under a propagating panic.
-struct InflightGuard<'a, 'b> {
-    eval: &'a DynamicEvaluator<'b>,
-    config: &'a Config,
-}
-
-impl Drop for InflightGuard<'_, '_> {
-    fn drop(&mut self) {
-        let mut memo = lock(&self.eval.memo);
-        memo.inflight.remove(self.config);
-        drop(memo);
-        self.eval.memo_cv.notify_all();
     }
 }
 
@@ -435,41 +396,39 @@ pub struct DynamicEvaluator<'a> {
     /// Per hotspot procedure: its own FP variable ids (for fingerprints).
     proc_vars: Vec<(String, Vec<FpVarId>)>,
     /// All evaluated variants, in evaluation order.
-    records: Mutex<Vec<VariantRecord>>,
+    records: Vec<VariantRecord>,
     /// Config-keyed memoization: every measured configuration, including
-    /// outcomes replayed from a preloaded journal, plus the in-flight set
-    /// backing the single-flight election.
-    memo: Mutex<MemoState>,
-    /// Signalled whenever an in-flight evaluation completes (or unwinds).
-    memo_cv: Condvar,
+    /// outcomes replayed from a preloaded journal.
+    memo: HashMap<Config, VariantRecord>,
     /// Aggregate observability counters (cache hits/misses, interpreter op
     /// totals).
-    counters: Mutex<Counters>,
+    counters: Counters,
     /// Trial journal sink ([`TuningTask::journal`]); `None` disables
     /// journaling but not in-memory memoization.
-    journal: Option<Mutex<Journal>>,
+    journal: Option<Journal>,
     /// Next journal sequence number (continues a preloaded journal).
-    seq: AtomicU64,
+    seq: u64,
     /// Fast-path templates, built once per task when
     /// [`TuningTask::variant_path`] is [`VariantPath::Fast`]. `None` means
     /// every evaluation takes the faithful unparse → reparse → re-lower
     /// pipeline (requested, or the template build failed).
     templates: Option<(VariantTemplate<'a>, IrTemplate<'a>)>,
     /// Faithful cross-check tickets remaining ([`TuningTask::crosscheck`]).
+    /// Atomic because pool workers claim them.
     crosschecks_left: AtomicU64,
     /// Set when a lenient crosscheck caught a template divergence: the
     /// fast path is no longer trusted and every subsequent evaluation
-    /// takes the faithful pipeline.
+    /// takes the faithful pipeline. Atomic because pool workers set it.
     fast_disabled: AtomicBool,
     /// Journal records appended this process (drives the fault harness's
     /// `kill-after` mid-run abort).
-    journal_appends: AtomicU64,
+    journal_appends: u64,
     /// Evaluation-round ordinal: one per [`eval_one`] call or
     /// [`Evaluator::evaluate_batch`] submission. Deterministic across
     /// worker counts (it counts submissions, not completions) and stamped
     /// into every trial record so `prose-report` can reconstruct
     /// wall-clock-per-round.
-    batch_seq: AtomicU64,
+    batch_seq: u64,
     /// Absint pre-pass context stamped into every journaled trial
     /// ([`TrialRecord::static_verdict`]); `None` when no pre-pass ran.
     static_verdict: Option<String>,
@@ -590,7 +549,7 @@ impl<'a> DynamicEvaluator<'a> {
                 }
             }
             match Journal::open_append_with(path, task.wal_flush) {
-                Ok(j) => journal = Some(Mutex::new(j)),
+                Ok(j) => journal = Some(j),
                 Err(e) => {
                     counters.bump("journal_errors", 1);
                     eprintln!(
@@ -610,20 +569,16 @@ impl<'a> DynamicEvaluator<'a> {
             },
             noise,
             proc_vars,
-            records: Mutex::new(Vec::new()),
-            memo: Mutex::new(MemoState {
-                map: cache,
-                inflight: HashMap::new(),
-            }),
-            memo_cv: Condvar::new(),
-            counters: Mutex::new(counters),
+            records: Vec::new(),
+            memo: cache,
+            counters,
             journal,
-            seq: AtomicU64::new(seq),
+            seq,
             templates,
             crosschecks_left: AtomicU64::new(task.crosscheck as u64),
             fast_disabled: AtomicBool::new(false),
-            journal_appends: AtomicU64::new(0),
-            batch_seq: AtomicU64::new(0),
+            journal_appends: 0,
+            batch_seq: 0,
             static_verdict: None,
         })
     }
@@ -646,30 +601,16 @@ impl<'a> DynamicEvaluator<'a> {
     /// Consume the evaluator, returning every variant record.
     pub fn into_records(self) -> Vec<VariantRecord> {
         self.records
-            .into_inner()
-            .unwrap_or_else(PoisonError::into_inner)
     }
 
     /// Snapshot of the aggregate observability counters.
     pub fn metrics(&self) -> Counters {
-        lock(&self.counters).clone()
+        self.counters.clone()
     }
 
     /// Effective worker-pool width for batch evaluation.
     pub fn workers(&self) -> usize {
         self.task.workers.max(1)
-    }
-
-    /// Map a search configuration to a precision assignment over the task's
-    /// atoms.
-    pub fn precision_map(&self, lowered: &Config) -> PrecisionMap {
-        let mut map = PrecisionMap::declared(&self.task.index);
-        for (i, low) in lowered.iter().enumerate() {
-            if *low {
-                map.set(self.task.atoms[i], prose_fortran::ast::FpPrecision::Single);
-            }
-        }
-        map
     }
 
     /// Deterministic variant id independent of evaluation order.
@@ -682,89 +623,80 @@ impl<'a> DynamicEvaluator<'a> {
         h
     }
 
-    /// Answer one configuration, consulting the memoization cache first.
-    /// Cache hits never touch the interpreter; every request — hit or
-    /// miss — is appended to the trial journal when one is configured.
-    pub fn eval_one(&self, lowered: &Config) -> VariantRecord {
-        self.check_cancelled();
-        let batch = self.batch_seq.fetch_add(1, Ordering::Relaxed);
-        let (rec, meta) = self.eval_record(lowered, None);
-        self.journal_append(&rec, &meta, batch);
-        rec
+    /// Answer one configuration: a batch of one.
+    pub fn eval_one(&mut self, lowered: &Config) -> VariantRecord {
+        self.eval_batch_records(std::slice::from_ref(lowered))
+            .pop()
+            .expect("a batch of one yields one record")
     }
 
-    /// Measure one configuration without journaling it: the memoized (or
-    /// freshly evaluated) record plus the bookkeeping a journal append
-    /// needs. Safe to call from pool workers; the single-flight election
-    /// guarantees the interpreter runs at most once per configuration even
-    /// when several workers ask concurrently.
-    fn eval_record(&self, lowered: &Config, worker: Option<u32>) -> (VariantRecord, TrialMeta) {
-        let t0 = Instant::now();
-        {
-            let mut memo = lock(&self.memo);
-            let mut logged_wait = false;
-            let mut reelections = 0u64;
-            loop {
-                if let Some(hit) = memo.map.get(lowered) {
+    /// Answer a batch and return the records in batch index order. Every
+    /// request — hit or miss — is appended to the trial journal when one
+    /// is configured.
+    ///
+    /// The submitting thread walks the batch in submission order: a memo
+    /// hit, or a repeat of an earlier copy in this batch, is answered from
+    /// the cache; only the first copy of each uncached configuration goes
+    /// to the worker pool. Results are then applied — counters, memo,
+    /// journal — in batch index order on this thread, which is what makes
+    /// the journal byte-stable across worker counts. A panic escaping any
+    /// trial (only [`StrictDesync`] and [`prose_faults::InjectedKill`]
+    /// escape containment) is re-raised here in batch index order with its
+    /// payload intact.
+    pub fn eval_batch_records(&mut self, batch: &[Config]) -> Vec<VariantRecord> {
+        self.check_cancelled();
+        let batch_id = self.batch_seq;
+        self.batch_seq += 1;
+        let mut seen = HashSet::new();
+        let fresh: Vec<&Config> = batch
+            .iter()
+            .filter(|cfg| !self.memo.contains_key(*cfg) && seen.insert(*cfg))
+            .collect();
+        let this = &*self;
+        let mut results = crate::pool::ordered_map(&fresh, self.workers(), |cfg, worker| {
+            this.eval_fresh(cfg, worker)
+        })
+        .into_iter();
+        let mut recs = Vec::with_capacity(batch.len());
+        for cfg in batch {
+            let t0 = Instant::now();
+            let (rec, meta) = match self.memo.get(cfg) {
+                Some(hit) => {
                     let hit = hit.clone();
-                    drop(memo);
-                    lock(&self.counters).bump("cache_hits", 1);
-                    let mut meta = TrialMeta::cached_hit(t0.elapsed().as_secs_f64() * 1e3, worker);
-                    if reelections > 0 {
-                        // Surface the re-election in the waiter's journal
-                        // record; a healthy run journals nothing extra, so
-                        // journals stay byte-stable across worker counts.
-                        meta.counters.bump("watchdog_reelections", reelections);
-                    }
-                    return (hit, meta);
+                    self.counters.bump("cache_hits", 1);
+                    (hit, TrialMeta::cached_hit(t0.elapsed().as_secs_f64() * 1e3))
                 }
-                match memo.inflight.get(lowered) {
-                    None => {
-                        memo.inflight.insert(lowered.clone(), Instant::now());
-                        break;
-                    }
-                    Some(elected_at) if elected_at.elapsed() > self.watchdog_limit() => {
-                        // Watchdog: the elected evaluator has been in
-                        // flight longer than any legitimate evaluation
-                        // can take (every escalated retry plus grace).
-                        // Either it is hung with no interpreter deadline
-                        // armed to kill it, or its thread died abnormally
-                        // without unwinding. Re-elect: mark the trial
-                        // failed-by-deadline so every waiter (and the
-                        // search) moves on instead of stranding forever.
-                        // A late answer from the stuck worker simply
-                        // overwrites this record with the same verdict.
-                        memo.inflight.remove(lowered);
-                        let rec = self.watchdog_record(lowered);
-                        memo.map.insert(lowered.clone(), rec);
-                        reelections += 1;
-                        lock(&self.counters).bump("watchdog_reelections", 1);
-                        drop(memo);
-                        self.memo_cv.notify_all();
-                        memo = lock(&self.memo);
-                    }
-                    Some(_) => {
-                        // Another worker is evaluating this exact
-                        // configuration: wait for it rather than
-                        // duplicating interpreter work — but never
-                        // unboundedly, so a stuck election is noticed.
-                        if !logged_wait {
-                            lock(&self.counters).bump("singleflight_waits", 1);
-                            logged_wait = true;
+                None => match results.next().expect("one result per fresh configuration") {
+                    Ok((rec, meta)) => {
+                        for a in &meta.prior {
+                            self.counters.merge(&a.counters);
                         }
-                        let (m, _timed_out) = self
-                            .memo_cv
-                            .wait_timeout(memo, self.watchdog_tick())
-                            .unwrap_or_else(PoisonError::into_inner);
-                        memo = m;
+                        self.counters.bump("cache_misses", 1);
+                        self.counters.merge(&meta.counters);
+                        if rec.failure == Some(FailureKind::Deadline) {
+                            self.counters.bump("deadline_kills", 1);
+                        }
+                        if !meta.prior.is_empty() && rec.outcome.status == Status::Pass {
+                            self.counters.bump("retry_recovered", 1);
+                        }
+                        self.memo.insert(cfg.clone(), rec.clone());
+                        (rec, meta)
                     }
-                }
-            }
+                    Err(payload) => resume_unwind(payload),
+                },
+            };
+            self.journal_append(&rec, &meta, batch_id);
+            recs.push(rec);
         }
-        let guard = InflightGuard {
-            eval: self,
-            config: lowered,
-        };
+        recs
+    }
+
+    /// Measure one uncached configuration, on a pool worker or on the
+    /// submitting thread. Reads the task and templates and touches no
+    /// other shared state than the crosscheck ticket and the fast-path
+    /// switch; the submitting thread applies the result.
+    fn eval_fresh(&self, lowered: &Config, worker: Option<u32>) -> (VariantRecord, TrialMeta) {
+        let t0 = Instant::now();
         // Transient-failure retry: an injected timeout or a wall-clock
         // deadline kill may be jitter, not a property of the
         // configuration. Re-attempt up to `task.retry_attempts` times with
@@ -774,151 +706,52 @@ impl<'a> DynamicEvaluator<'a> {
         // rejection — delta debugging treats it like any failed trial.
         let mut prior: Vec<AttemptTrial> = Vec::new();
         let mut attempt: u32 = 0;
-        let (rec, clock, trial_counters) = loop {
+        loop {
             let t_attempt = Instant::now();
             let mut clock = StageClock::new();
-            let mut trial_counters = Counters::new();
-            let rec = self.eval_uncached(lowered, attempt, &mut clock, &mut trial_counters);
+            let mut counters = Counters::new();
+            let rec = self.eval_uncached(lowered, attempt, &mut clock, &mut counters);
             if attempt < self.task.retry_attempts && is_transient(&rec) {
-                trial_counters.bump("retry_attempts", 1);
-                {
-                    let mut agg = lock(&self.counters);
-                    agg.bump("retry_attempts", 1);
-                    agg.merge(&trial_counters);
-                }
+                counters.bump("retry_attempts", 1);
                 prior.push(AttemptTrial {
                     rec,
                     attempt,
                     wall_ms: t_attempt.elapsed().as_secs_f64() * 1e3,
                     clock,
-                    counters: trial_counters,
+                    counters,
                 });
                 attempt += 1;
                 continue;
             }
-            break (rec, clock, trial_counters);
-        };
-        {
-            let mut agg = lock(&self.counters);
-            agg.bump("cache_misses", 1);
-            agg.merge(&trial_counters);
-            if rec.failure == Some(FailureKind::Deadline) {
-                agg.bump("deadline_kills", 1);
-            }
-            if !prior.is_empty() && rec.outcome.status == Status::Pass {
-                agg.bump("retry_recovered", 1);
-            }
+            let meta = TrialMeta {
+                cached: false,
+                wall_ms: t0.elapsed().as_secs_f64() * 1e3,
+                clock,
+                counters,
+                worker,
+                attempt,
+                prior,
+            };
+            return (rec, meta);
         }
-        lock(&self.memo).map.insert(lowered.clone(), rec.clone());
-        drop(guard); // releases the in-flight marker and wakes waiters
-        let meta = TrialMeta {
-            cached: false,
-            wall_ms: t0.elapsed().as_secs_f64() * 1e3,
-            clock,
-            counters: trial_counters,
-            worker,
-            attempt,
-            prior,
-        };
-        (rec, meta)
     }
 
     /// Raise [`CancelRequested`] when the task's cancellation token has
     /// flipped. Called only at evaluation boundaries on the submitting
-    /// thread, so the unwind can never tear a journal record or strand a
-    /// single-flight election on a worker.
-    fn check_cancelled(&self) {
+    /// thread, so the unwind can never tear a journal record.
+    fn check_cancelled(&mut self) {
         if let Some(cancel) = &self.task.cancel {
             if cancel.load(Ordering::Relaxed) {
-                lock(&self.counters).bump("cancel_checkpoints", 1);
+                self.counters.bump("cancel_checkpoints", 1);
                 std::panic::panic_any(CancelRequested);
             }
         }
     }
 
-    /// How long an election may be in flight before the watchdog declares
-    /// it dead. Generous by construction: the sum of every escalated
-    /// attempt's deadline plus a fixed grace, so a legitimately slow (but
-    /// progressing) evaluation is never misfired on. Without a configured
-    /// deadline there is no calibration to lean on and the limit falls
-    /// back to a large constant.
-    fn watchdog_limit(&self) -> Duration {
-        match self.task.deadline_ms {
-            Some(ms) => {
-                let escalated: u64 = (0..=self.task.retry_attempts.min(20))
-                    .map(|a| ms.saturating_mul(1u64 << a))
-                    .fold(0, u64::saturating_add);
-                Duration::from_millis(escalated.saturating_add((ms * 4).max(5_000)))
-            }
-            None => Duration::from_secs(300),
-        }
-    }
-
-    /// Condvar wait quantum for single-flight waiters: short enough to
-    /// notice a stuck election promptly, long enough not to spin.
-    fn watchdog_tick(&self) -> Duration {
-        (self.watchdog_limit() / 8).clamp(Duration::from_millis(10), Duration::from_secs(1))
-    }
-
-    /// The record a watchdog re-election synthesizes for a stuck trial:
-    /// failed-by-deadline, rejected by the search.
-    fn watchdog_record(&self, lowered: &Config) -> VariantRecord {
-        let map = self.precision_map(lowered);
-        VariantRecord {
-            config: lowered.clone(),
-            outcome: Outcome {
-                status: Status::Timeout,
-                speedup: 0.0,
-                error: f64::INFINITY,
-            },
-            fraction_single: map.fraction_single(&self.task.atoms),
-            per_proc: Vec::new(),
-            wrappers: Vec::new(),
-            detail: Some(format!(
-                "watchdog: elected evaluator stuck past {} ms; marked failed-by-deadline",
-                self.watchdog_limit().as_millis()
-            )),
-            total_cycles: None,
-            hotspot_cycles: None,
-            failure: Some(FailureKind::Deadline),
-            fault_kind: None,
-            fault_seed: None,
-            shadow: None,
-        }
-    }
-
-    /// Evaluate a batch on the worker pool and return the records in batch
-    /// index order, with journal appends performed afterwards — also in
-    /// batch index order — on the calling thread. This is what makes the
-    /// journal byte-stable across worker counts. A panic escaping any
-    /// trial (only [`StrictDesync`] and [`prose_faults::InjectedKill`]
-    /// escape containment) is re-raised here in batch index order with its
-    /// payload intact.
-    pub fn eval_batch_records(&self, batch: &[Config]) -> Vec<VariantRecord> {
-        self.check_cancelled();
-        let batch_id = self.batch_seq.fetch_add(1, Ordering::Relaxed);
-        let slots = crate::pool::ordered_map(batch, self.workers(), |cfg, worker| {
-            self.eval_record(cfg, worker)
-        });
-        // Reduce in submission order: journal appends (and any re-raised
-        // panic) happen exactly where a serial run would place them.
-        let mut recs = Vec::with_capacity(slots.len());
-        for slot in slots {
-            match slot {
-                Ok((rec, meta)) => {
-                    self.journal_append(&rec, &meta, batch_id);
-                    recs.push(rec);
-                }
-                Err(payload) => resume_unwind(payload),
-            }
-        }
-        recs
-    }
-
     /// Append one request to the trial journal (no-op without a journal).
     /// Retried attempts are appended first, in attempt order, then the
     /// final record; each gets its own sequence number and CRC stamp.
-    fn journal_append(&self, rec: &VariantRecord, meta: &TrialMeta, batch: u64) {
+    fn journal_append(&mut self, rec: &VariantRecord, meta: &TrialMeta, batch: u64) {
         if self.journal.is_none() {
             return;
         }
@@ -946,9 +779,10 @@ impl<'a> DynamicEvaluator<'a> {
         );
     }
 
+    /// Stamp and append one journal line; requires a journal.
     #[allow(clippy::too_many_arguments)]
     fn journal_append_one(
-        &self,
+        &mut self,
         rec: &VariantRecord,
         attempt: u32,
         cached: bool,
@@ -958,13 +792,8 @@ impl<'a> DynamicEvaluator<'a> {
         worker: Option<u32>,
         batch: u64,
     ) {
-        let Some(journal) = &self.journal else { return };
-        // The sequence number is taken under the journal lock so records
-        // land in the file in sequence order; batch appends additionally
-        // arrive pre-ordered by the submission-order reduction.
-        let mut j = lock(journal);
         let tr = TrialRecord {
-            seq: self.seq.fetch_add(1, Ordering::Relaxed),
+            seq: self.seq,
             config: rec.config.clone(),
             status: status_name(rec.outcome.status).to_string(),
             speedup: rec.outcome.speedup,
@@ -991,52 +820,51 @@ impl<'a> DynamicEvaluator<'a> {
             job: self.task.job_id.clone(),
             static_verdict: self.static_verdict.clone(),
         };
+        self.seq += 1;
         // Serialize (stamping the CRC) before deciding how to write: the
         // corrupt-record fault flips one bit of the already-checksummed
         // line, which is exactly the damage `load_repair` must catch. The
         // draw is keyed off the trial's own fault plan, never arrival
         // order, so a parallel run corrupts exactly the records a serial
         // run would.
-        let write_result = match Journal::serialize_line(&tr) {
-            Ok(line) => {
-                let flip = self
-                    .task
-                    .faults
-                    .as_ref()
-                    .filter(|f| f.is_active())
-                    .map(|f| f.plan_for_config_attempt(&tr.config, attempt))
-                    .and_then(|p| p.corrupt_at(line.len()));
-                if let Some((off, bit)) = flip {
-                    let mut bytes = line.into_bytes();
-                    bytes[off] ^= bit;
-                    lock(&self.counters).bump("journal_corruptions_injected", 1);
-                    j.append_raw_line(&bytes)
-                } else {
-                    j.append_raw_line(line.as_bytes())
-                }
+        let write_result = Journal::serialize_line(&tr).and_then(|line| {
+            let flip = self
+                .task
+                .faults
+                .as_ref()
+                .filter(|f| f.is_active())
+                .map(|f| f.plan_for_config_attempt(&tr.config, attempt))
+                .and_then(|p| p.corrupt_at(line.len()));
+            let mut bytes = line.into_bytes();
+            if let Some((off, bit)) = flip {
+                bytes[off] ^= bit;
+                self.counters.bump("journal_corruptions_injected", 1);
             }
-            Err(e) => Err(e),
-        };
+            let journal = self
+                .journal
+                .as_mut()
+                .expect("journal_append checks for one");
+            journal.append_raw_line(&bytes)
+        });
         if let Err(e) = write_result {
             // A journal failure cannot itself be journaled; it surfaces as
             // a counter and a warning instead of killing the search.
-            lock(&self.counters).bump("journal_errors", 1);
+            self.counters.bump("journal_errors", 1);
             eprintln!(
                 "[prose] trial journal write failed ({}): {e}",
                 FailureKind::JournalError.name()
             );
         }
-        let appended = self.journal_appends.fetch_add(1, Ordering::Relaxed) + 1;
-        drop(j);
+        self.journal_appends += 1;
         // Fault harness kill switch: simulate the process dying mid-run
-        // right after the k-th append. Raised as an uncontained panic so it
-        // tears down the whole search exactly where a real crash would.
-        // Appends are always performed on the submitting thread (batch
-        // reduction is deferred), so the kill tears down the search rather
-        // than a worker.
+        // right after the k-th append. Raised as an uncontained panic on
+        // the submitting thread, so it tears down the whole search exactly
+        // where a real crash would.
         if let Some(k) = self.task.faults.as_ref().and_then(|f| f.kill_after) {
-            if appended >= k {
-                std::panic::panic_any(prose_faults::InjectedKill { appended });
+            if self.journal_appends >= k {
+                std::panic::panic_any(prose_faults::InjectedKill {
+                    appended: self.journal_appends,
+                });
             }
         }
     }
@@ -1097,7 +925,7 @@ impl<'a> DynamicEvaluator<'a> {
                 } else {
                     format!("contained panic: {}", panic_message(payload.as_ref()))
                 };
-                let map = self.precision_map(lowered);
+                let map = config_to_map(&self.task.index, &self.task.atoms, lowered);
                 VariantRecord {
                     config: lowered.clone(),
                     outcome: Outcome {
@@ -1152,7 +980,7 @@ impl<'a> DynamicEvaluator<'a> {
         trial_counters: &mut Counters,
     ) -> VariantRecord {
         let task = self.task;
-        let map = self.precision_map(lowered);
+        let map = config_to_map(&self.task.index, &self.task.atoms, lowered);
         let fraction_single = map.fraction_single(&task.atoms);
         let fingerprints: Vec<(String, u64)> = self
             .proc_vars
@@ -1661,7 +1489,7 @@ impl<'a> prose_search::Evaluator for DynamicEvaluator<'a> {
     fn evaluate(&mut self, lowered: &Config) -> Outcome {
         let rec = self.eval_one(lowered);
         let outcome = rec.outcome;
-        lock(&self.records).push(rec);
+        self.records.push(rec);
         outcome
     }
 
@@ -1671,11 +1499,76 @@ impl<'a> prose_search::Evaluator for DynamicEvaluator<'a> {
         // journaled) in batch index order regardless of worker count.
         let recs = self.eval_batch_records(batch);
         let outcomes = recs.iter().map(|r| r.outcome).collect();
-        lock(&self.records).extend(recs);
+        self.records.extend(recs);
         outcomes
     }
 
     fn atom_count(&self) -> usize {
         self.task.atoms.len()
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::metrics::CorrectnessMetric;
+    use crate::tuner::ModelSpec;
+
+    const SRC: &str = r#"
+module hot
+contains
+  subroutine work(u, n)
+    real(kind=8), intent(inout) :: u(n)
+    integer, intent(in) :: n
+    integer :: i
+    do i = 1, n
+      u(i) = u(i) * 1.0000001d0 + 0.25d0
+    end do
+  end subroutine work
+end module hot
+program main
+  use hot
+  real(kind=8) :: field(8)
+  field = 1.0d0
+  call work(field, 8)
+  call prose_record_array('field', field)
+end program main
+"#;
+
+    /// Each retried attempt counts once in the aggregate, as it does in
+    /// the journal (one record per attempt).
+    #[test]
+    fn aggregate_retry_count_matches_the_retried_attempts() {
+        let spec = ModelSpec {
+            name: "retry".into(),
+            source: SRC.into(),
+            hotspot_module: "hot".into(),
+            target_procs: vec!["work".into()],
+            metric: CorrectnessMetric::MaxOverSpaceL2OverTime {
+                key: "field".into(),
+                floor_frac: 0.0,
+            },
+            error_threshold: 1e-3,
+            n_runs: 1,
+            noise_rsd: 0.0,
+            exclude: vec![],
+        };
+        let mut task = spec.load().unwrap().task(PerfScope::Hotspot, 7).unwrap();
+        task.faults = Some(prose_faults::FaultConfig {
+            timeout: 1.0,
+            seed: 3,
+            ..Default::default()
+        });
+        task.retry_attempts = 2;
+        let mut eval = DynamicEvaluator::new(&task).unwrap();
+        let rec = eval.eval_one(&vec![true; task.atoms.len()]);
+        assert_eq!(rec.failure, Some(FailureKind::Timeout));
+        let m = eval.metrics();
+        assert_eq!(m.get("cache_misses"), 1);
+        assert_eq!(
+            m.get("retry_attempts"),
+            2,
+            "attempts 1 and 2 are the retries"
+        );
     }
 }

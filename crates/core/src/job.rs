@@ -53,7 +53,7 @@ pub struct JobSpec {
     /// Variable names excluded from the atom set.
     #[serde(default)]
     pub exclude: Vec<String>,
-    /// Worker-pool width (defaults to the `PROSE_WORKERS` rule).
+    /// Worker-pool width (default 1: serial).
     #[serde(default)]
     pub workers: Option<usize>,
     /// Per-variant wall-clock deadline in milliseconds.
@@ -221,15 +221,9 @@ pub fn run_job(
     task.faults = faults;
     task.job_id = Some(job_id.clone());
     task.cancel = cancel;
-    if let Some(w) = spec.workers {
-        task.workers = w.max(1);
-    }
-    if let Some(ms) = spec.deadline_ms {
-        task.deadline_ms = Some(ms);
-    }
-    if let Some(r) = spec.retry_attempts {
-        task.retry_attempts = r;
-    }
+    task.workers = spec.workers.unwrap_or(1).max(1);
+    task.deadline_ms = spec.deadline_ms;
+    task.retry_attempts = spec.retry_attempts.unwrap_or(0);
 
     // The cancellation token unwinds out of the search as a
     // `CancelRequested` panic (raised only at evaluation boundaries, so

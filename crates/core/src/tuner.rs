@@ -183,7 +183,7 @@ pub struct TuningTask {
     /// pathologically slow interpreter run. Checked cooperatively every
     /// [`prose_interp::DEADLINE_CHECK_INTERVAL`] events, so modeled
     /// cycles, numerics, and journals are bit-identical when it never
-    /// fires. Also seeds the stuck-election watchdog's patience.
+    /// fires.
     pub deadline_ms: Option<u64>,
     /// Transient-failure retry budget: re-attempt a trial that failed by
     /// injected timeout or wall-clock deadline up to this many extra
@@ -401,7 +401,7 @@ pub fn evaluate_configs(
     task: &TuningTask,
     configs: &[Config],
 ) -> Result<Vec<VariantRecord>, RunError> {
-    let eval = DynamicEvaluator::new(task)?;
+    let mut eval = DynamicEvaluator::new(task)?;
     let recs: Vec<VariantRecord> = configs.iter().map(|c| eval.eval_one(c)).collect();
     Ok(recs)
 }
@@ -505,42 +505,11 @@ impl LoadedModel {
             member: None,
             granularity: SearchGranularity::default(),
             absint: false,
-            workers: default_workers(),
-            deadline_ms: default_deadline_ms(),
-            retry_attempts: default_retry_attempts(),
+            workers: 1,
+            deadline_ms: None,
+            retry_attempts: 0,
             job_id: None,
             cancel: None,
         })
     }
-}
-
-/// Worker-pool width when none is requested explicitly: the
-/// `PROSE_WORKERS` environment variable when set to a positive integer,
-/// else 1 (serial). CLI `--workers` flags override this.
-pub fn default_workers() -> usize {
-    std::env::var("PROSE_WORKERS")
-        .ok()
-        .and_then(|s| s.trim().parse::<usize>().ok())
-        .filter(|&n| n >= 1)
-        .unwrap_or(1)
-}
-
-/// Per-variant wall-clock deadline when none is requested explicitly: the
-/// `PROSE_DEADLINE_MS` environment variable when set to a positive
-/// integer, else disabled. CLI `--deadline-ms` flags override this.
-pub fn default_deadline_ms() -> Option<u64> {
-    std::env::var("PROSE_DEADLINE_MS")
-        .ok()
-        .and_then(|s| s.trim().parse::<u64>().ok())
-        .filter(|&n| n >= 1)
-}
-
-/// Transient-failure retry budget when none is requested explicitly: the
-/// `PROSE_RETRY_ATTEMPTS` environment variable, else 0 (disabled). CLI
-/// `--retry-attempts` flags override this.
-pub fn default_retry_attempts() -> u32 {
-    std::env::var("PROSE_RETRY_ATTEMPTS")
-        .ok()
-        .and_then(|s| s.trim().parse::<u32>().ok())
-        .unwrap_or(0)
 }

@@ -156,7 +156,7 @@ fn timeout_classification_round_trips_through_journal_and_memo() {
     task.faults = Some(FaultConfig::parse("timeout=1.0,seed=3").unwrap());
 
     let cfg = vec![true; task.atoms.len()];
-    let eval = DynamicEvaluator::new(&task).unwrap();
+    let mut eval = DynamicEvaluator::new(&task).unwrap();
     let rec = eval.eval_one(&cfg);
     assert_eq!(rec.outcome.status, Status::Timeout);
     assert_eq!(rec.failure, Some(FailureKind::Timeout));
@@ -165,7 +165,7 @@ fn timeout_classification_round_trips_through_journal_and_memo() {
     drop(eval);
 
     task.faults = None;
-    let eval2 = DynamicEvaluator::new(&task).unwrap();
+    let mut eval2 = DynamicEvaluator::new(&task).unwrap();
     let replayed = eval2.eval_one(&cfg);
     assert_eq!(eval2.metrics().get("cache_preloaded"), 1);
     assert_eq!(eval2.metrics().get("cache_hits"), 1);
@@ -185,7 +185,7 @@ fn abort_classification_round_trips_through_journal_and_memo() {
     task.faults = Some(FaultConfig::parse("abort=1.0,seed=5").unwrap());
 
     let cfg = vec![true; task.atoms.len()];
-    let eval = DynamicEvaluator::new(&task).unwrap();
+    let mut eval = DynamicEvaluator::new(&task).unwrap();
     let rec = eval.eval_one(&cfg);
     assert_eq!(rec.outcome.status, Status::RuntimeError);
     assert_eq!(rec.failure, Some(FailureKind::Panic));
@@ -202,7 +202,7 @@ fn abort_classification_round_trips_through_journal_and_memo() {
     drop(eval);
 
     task.faults = None;
-    let eval2 = DynamicEvaluator::new(&task).unwrap();
+    let mut eval2 = DynamicEvaluator::new(&task).unwrap();
     let replayed = eval2.eval_one(&cfg);
     assert_eq!(replayed.outcome.status, Status::RuntimeError);
     assert_eq!(replayed.failure, Some(FailureKind::Panic));
@@ -316,7 +316,7 @@ fn injected_nan_is_attributed_to_the_fault_not_to_cancellation() {
     task.faults = Some(FaultConfig::parse("nan=1.0,seed=9").unwrap());
 
     let cfg = vec![true; task.atoms.len()];
-    let eval = DynamicEvaluator::new(&task).unwrap();
+    let mut eval = DynamicEvaluator::new(&task).unwrap();
     let rec = eval.eval_one(&cfg);
     assert_eq!(rec.outcome.status, Status::RuntimeError);
     assert_eq!(rec.failure, Some(FailureKind::FpException));
@@ -345,7 +345,7 @@ fn injected_nan_is_attributed_to_the_fault_not_to_cancellation() {
 
     // The attribution round-trips through the journal into a fresh memo.
     task.faults = None;
-    let eval2 = DynamicEvaluator::new(&task).unwrap();
+    let mut eval2 = DynamicEvaluator::new(&task).unwrap();
     let replayed = eval2.eval_one(&cfg);
     assert_eq!(eval2.metrics().get("cache_hits"), 1);
     let sh2 = replayed

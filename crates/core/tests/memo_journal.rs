@@ -77,7 +77,7 @@ fn temp_journal(tag: &str) -> PathBuf {
 fn repeated_config_is_served_from_cache() {
     let model = spec().load().unwrap();
     let task = model.task(PerfScope::Hotspot, 7).unwrap();
-    let eval = DynamicEvaluator::new(&task).unwrap();
+    let mut eval = DynamicEvaluator::new(&task).unwrap();
 
     let cfg = vec![true; task.atoms.len()];
     let first = eval.eval_one(&cfg);

@@ -4,8 +4,9 @@
 //! tune produces byte-identical journals at any worker count once the
 //! scheduling-dependent fields are normalized, with and without the
 //! absint pre-pass fanning its analyses out over the same pool, and
-//! (2) the shared memo and journal writer survive concurrent hammering
-//! without lost, duplicated, or torn records.
+//! (2) batches are deduped on the submitting thread, so each unique
+//! configuration runs once, its first copy is the one evaluated, and the
+//! journal does not depend on the width.
 
 use prose_core::tuner::{tune, ModelSpec, PerfScope, SearchGranularity, TuningTask};
 use prose_core::{metrics::CorrectnessMetric, prepass_path_for, DynamicEvaluator};
@@ -208,89 +209,98 @@ fn absint_grouped_mpas_journals_match_across_widths() {
     }
 }
 
-/// Concurrency stress: many threads issue overlapping `eval_one` requests
-/// against one evaluator. Single-flight election must keep the
-/// interpreter-run count at exactly one per unique configuration, every
-/// thread must observe the same outcome per configuration, and the
-/// journal must hold one intact record per request with no torn lines.
+/// Dedupe happens on the submitting thread, in submission order: a batch
+/// holding repeated and journal-preloaded configurations runs each unique
+/// uncached configuration exactly once — always its first copy — and the
+/// journal is the same at widths 1 and 4 once the scheduling-dependent
+/// fields are normalized.
 #[test]
-fn concurrent_memo_and_journal_survive_hammering() {
-    const THREADS: usize = 8;
-    let path = temp_journal("stress");
-    remove_journal(&path);
-
+fn batches_dedupe_in_submission_order_at_any_width() {
     let model = spec().load().unwrap();
-    let mut task = model.task(PerfScope::Hotspot, 7).unwrap();
-    task.journal = Some(path.clone());
-    let eval = DynamicEvaluator::new(&task).unwrap();
-
-    // Every subset of the first 4 atoms, padded to full width: 16 unique
-    // configurations, each requested once per thread in a per-thread
-    // order, so threads collide on the memo constantly.
-    let n = task.atoms.len();
-    let configs: Vec<Vec<bool>> = (0u32..16)
-        .map(|bits| (0..n).map(|i| i < 4 && (bits >> i) & 1 == 1).collect())
+    let n = model.atoms.len();
+    // Six distinct configurations over the first three atoms.
+    let c: Vec<Vec<bool>> = (0u32..6)
+        .map(|bits| (0..n).map(|i| i < 3 && (bits >> i) & 1 == 1).collect())
         .collect();
+    let preload = [c[0].clone(), c[1].clone()];
+    let mixed = [
+        c[2].clone(),
+        c[0].clone(),
+        c[3].clone(),
+        c[2].clone(),
+        c[1].clone(),
+        c[4].clone(),
+        c[3].clone(),
+        c[5].clone(),
+    ];
+    let all_hits = [c[5].clone(), c[0].clone(), c[2].clone()];
 
-    let per_thread: Vec<Vec<prose_core::evaluator::VariantRecord>> = std::thread::scope(|scope| {
-        let handles: Vec<_> = (0..THREADS)
-            .map(|t| {
-                let eval = &eval;
-                let configs = &configs;
-                scope.spawn(move || {
-                    (0..configs.len())
-                        .map(|i| eval.eval_one(&configs[(i + t * 5) % configs.len()]))
-                        .collect()
-                })
-            })
-            .collect();
-        handles.into_iter().map(|h| h.join().unwrap()).collect()
-    });
-
-    // Memo consistency: all threads agree on every configuration's outcome.
-    let reference: std::collections::HashMap<Vec<bool>, _> = per_thread[0]
-        .iter()
-        .map(|r| (r.config.clone(), r.outcome))
-        .collect();
-    assert_eq!(reference.len(), configs.len());
-    for thread_records in &per_thread {
-        for r in thread_records {
-            assert_eq!(reference[&r.config], r.outcome, "memo served torn outcome");
+    let run = |workers: usize| {
+        let path = temp_journal(&format!("dedupe_{workers}"));
+        remove_journal(&path);
+        let mut task = model.task(PerfScope::Hotspot, 7).unwrap();
+        task.journal = Some(path.clone());
+        DynamicEvaluator::new(&task)
+            .unwrap()
+            .eval_batch_records(&preload);
+        task.workers = workers;
+        let mut eval = DynamicEvaluator::new(&task).unwrap();
+        let mixed_recs = eval.eval_batch_records(&mixed);
+        let hit_recs = eval.eval_batch_records(&all_hits);
+        let m = eval.metrics();
+        assert_eq!(m.get("cache_preloaded"), 2);
+        assert_eq!(
+            m.get("cache_misses"),
+            4,
+            "one run per unique uncached config"
+        );
+        assert_eq!(m.get("cache_hits"), 4 + 3);
+        drop(eval);
+        for (cfg, rec) in mixed.iter().zip(&mixed_recs) {
+            assert_eq!(&rec.config, cfg, "records come back in batch order");
         }
-    }
+        assert_eq!(hit_recs.len(), all_hits.len());
+        let records = Journal::load(&path).unwrap();
+        remove_journal(&path);
+        records
+    };
 
-    // Single-flight: exactly one interpreter run per unique configuration,
-    // no lost and no duplicated memo entries.
-    let m = eval.metrics();
-    assert_eq!(m.get("cache_misses"), configs.len() as u64);
-    // Every request resolves as exactly one hit or one miss; the
-    // single-flight wait counter is scheduling-dependent extra telemetry.
-    assert_eq!(
-        m.get("cache_hits") + m.get("cache_misses"),
-        (THREADS * configs.len()) as u64
-    );
-
-    drop(eval);
-    let report = prose_trace::Journal::load_report(&path).unwrap();
-    assert_eq!(report.torn_tail, 0, "no torn journal lines");
-    assert_eq!(report.records.len(), THREADS * configs.len());
-    // Exactly one uncached record per unique configuration.
-    let mut uncached = std::collections::HashMap::new();
-    for r in &report.records {
-        if !r.cached {
+    let serial = run(1);
+    let pooled = run(4);
+    let total = preload.len() + mixed.len() + all_hits.len();
+    for records in [&serial, &pooled] {
+        assert_eq!(records.len(), total);
+        // A gapless seq run in file order.
+        let seqs: Vec<u64> = records.iter().map(|r| r.seq).collect();
+        assert_eq!(seqs, (0..total as u64).collect::<Vec<_>>());
+        // One uncached record per unique configuration.
+        let mut uncached = std::collections::HashMap::new();
+        for r in records.iter().filter(|r| !r.cached) {
             *uncached.entry(r.config.clone()).or_insert(0u32) += 1;
         }
+        assert_eq!(uncached.len(), c.len());
+        assert!(uncached.values().all(|&k| k == 1), "duplicate evaluation");
+        // In the mixed batch, the first copy of each configuration not
+        // preloaded is the evaluated one; every later copy is cached.
+        let mixed_records = &records[preload.len()..preload.len() + mixed.len()];
+        let mut seen: Vec<&Vec<bool>> = preload.iter().collect();
+        for r in mixed_records {
+            let first = !seen.contains(&&r.config);
+            assert_eq!(r.cached, !first, "seq {}: wrong copy evaluated", r.seq);
+            seen.push(&r.config);
+        }
+        // A batch of only cache hits is answered on the submitting thread.
+        for r in &records[preload.len() + mixed.len()..] {
+            assert!(r.cached);
+            assert_eq!(r.worker, None, "seq {}: cache hit stamped a worker", r.seq);
+        }
     }
-    assert_eq!(uncached.len(), configs.len());
-    assert!(uncached.values().all(|&c| c == 1), "duplicate evaluation");
-    // Sequence numbers are a clean 0..N run: the single writer never
-    // skipped or reused one under contention.
-    let mut seqs: Vec<u64> = report.records.iter().map(|r| r.seq).collect();
-    seqs.sort_unstable();
-    assert_eq!(
-        seqs,
-        (0..(THREADS * configs.len()) as u64).collect::<Vec<_>>()
-    );
-
-    remove_journal(&path);
+    // At width 4 the evaluated copies ran on pool workers and the hits
+    // did not.
+    for r in &pooled[preload.len()..preload.len() + mixed.len()] {
+        assert_eq!(r.worker.is_some(), !r.cached, "seq {}", r.seq);
+    }
+    for (a, b) in serial.into_iter().zip(pooled) {
+        assert_eq!(normalized(a), normalized(b));
+    }
 }

@@ -337,7 +337,7 @@ fn exhausted_retries_stand_as_rejection_and_resume_without_reattempt() {
     task.faults = Some(faults);
 
     {
-        let eval = DynamicEvaluator::new(&task).unwrap();
+        let mut eval = DynamicEvaluator::new(&task).unwrap();
         let rec = eval.eval_one(&doomed);
         assert_ne!(rec.outcome.status, Status::Pass);
         assert_eq!(rec.failure, Some(FailureKind::Timeout));
@@ -370,7 +370,7 @@ fn exhausted_retries_stand_as_rejection_and_resume_without_reattempt() {
     // Resume: a fresh evaluator preloads the journaled rejection and
     // never re-attempts the doomed config.
     {
-        let eval = DynamicEvaluator::new(&task).unwrap();
+        let mut eval = DynamicEvaluator::new(&task).unwrap();
         let rec = eval.eval_one(&doomed);
         assert_ne!(rec.outcome.status, Status::Pass);
         assert_eq!(rec.failure, Some(FailureKind::Timeout));

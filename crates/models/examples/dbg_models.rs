@@ -50,7 +50,7 @@ fn main() {
                 }
                 // uniform 32
                 let task = m.task(PerfScope::Hotspot, 1).unwrap();
-                let eval = prose_core::DynamicEvaluator::new(&task).unwrap();
+                let mut eval = prose_core::DynamicEvaluator::new(&task).unwrap();
                 let rec = eval.eval_one(&vec![true; m.atoms.len()]);
                 println!(
                     "  uniform32: {:?} err={:.3e} detail={:?}",
@@ -58,7 +58,7 @@ fn main() {
                 );
                 println!("  uniform32 hotspot speedup = {:.2}", rec.outcome.speedup);
                 let taskw = m.task(PerfScope::WholeModel, 1).unwrap();
-                let evalw = prose_core::DynamicEvaluator::new(&taskw).unwrap();
+                let mut evalw = prose_core::DynamicEvaluator::new(&taskw).unwrap();
                 let recw = evalw.eval_one(&vec![true; m.atoms.len()]);
                 println!(
                     "  uniform32 whole-model speedup = {:.2} ({:?})",

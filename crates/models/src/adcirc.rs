@@ -62,7 +62,7 @@ mod tests {
         // don't benefit from f32.
         let m = adcirc(ModelSize::Small).load().unwrap();
         let task = m.task(PerfScope::Hotspot, 5).unwrap();
-        let eval = prose_core::DynamicEvaluator::new(&task).unwrap();
+        let mut eval = prose_core::DynamicEvaluator::new(&task).unwrap();
         let rec = eval.eval_one(&vec![true; m.atoms.len()]);
         assert!(
             rec.outcome.speedup > 1.02 && rec.outcome.speedup < 1.6,

@@ -70,7 +70,7 @@ mod tests {
     fn uniform_32_is_faster_and_less_accurate() {
         let m = funarc(ModelSize::Small).load().unwrap();
         let task = m.task(PerfScope::WholeModel, 1).unwrap();
-        let eval = prose_core::DynamicEvaluator::new(&task).unwrap();
+        let mut eval = prose_core::DynamicEvaluator::new(&task).unwrap();
         let all32 = vec![true; m.atoms.len()];
         let rec = eval.eval_one(&all32);
         assert!(

@@ -74,7 +74,8 @@ mod tests {
         let m = mom6(ModelSize::Small).load().unwrap();
         let task = m.task(PerfScope::Hotspot, 9).unwrap();
         let eval = prose_core::DynamicEvaluator::new(&task).unwrap();
-        let map = eval.precision_map(&vec![true; m.atoms.len()]);
+        let map =
+            prose_core::tuner::config_to_map(&task.index, &task.atoms, &vec![true; m.atoms.len()]);
         let v = prose_transform::make_variant(&m.program, &m.index, &map).unwrap();
         let cfg = RunConfig {
             wrapper_names: v.wrappers.iter().cloned().collect(),

@@ -134,7 +134,7 @@ mod tests {
     fn uniform_32_hotspot_speedup_is_large() {
         let m = mpas_a(ModelSize::Small).load().unwrap();
         let task = m.task(PerfScope::Hotspot, 3).unwrap();
-        let eval = prose_core::DynamicEvaluator::new(&task).unwrap();
+        let mut eval = prose_core::DynamicEvaluator::new(&task).unwrap();
         let rec = eval.eval_one(&vec![true; m.atoms.len()]);
         assert!(
             rec.outcome.speedup > 1.5,
@@ -150,7 +150,7 @@ mod tests {
         // The Figure-7 effect: boundary casting outweighs the hotspot gain.
         let m = mpas_a(ModelSize::Small).load().unwrap();
         let task = m.task(PerfScope::WholeModel, 3).unwrap();
-        let eval = prose_core::DynamicEvaluator::new(&task).unwrap();
+        let mut eval = prose_core::DynamicEvaluator::new(&task).unwrap();
         let rec = eval.eval_one(&vec![true; m.atoms.len()]);
         assert!(
             rec.outcome.speedup < 0.9,

@@ -15,11 +15,9 @@
 //!   O(n log n) average, O(n²) worst case.
 //! * [`brute::BruteForce`] — exhaustive enumeration (the funarc motivating
 //!   example's 2⁸ = 256 variants, Figure 2).
-//! * [`random::RandomSearch`] — uniform random baseline.
 
 pub mod brute;
 pub mod dd;
-pub mod random;
 
 use serde::{Deserialize, Serialize};
 

@@ -19,7 +19,7 @@ fn main() {
         .load()
         .expect("mini-MOM6 loads");
     let task = model.task(PerfScope::Hotspot, 58).unwrap();
-    let eval = DynamicEvaluator::new(&task).expect("baseline runs");
+    let mut eval = DynamicEvaluator::new(&task).expect("baseline runs");
 
     // Variant 58's shape: zonal_mass_flux stays 64-bit, its callees
     // (ppm_reconstruction, ppm_limit_pos, the adjusters, row_transport)

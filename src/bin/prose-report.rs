@@ -230,9 +230,9 @@ fn parse_args() -> Option<Args> {
 }
 
 /// The supervision section: wall-clock deadline kills, transient-failure
-/// retries, single-flight watchdog re-elections, and quarantined journal
-/// records. Journals written before the supervision layer existed carry
-/// none of these fields (all serde-defaulted) and report zeros.
+/// retries, and quarantined journal records. Journals written before the
+/// supervision layer existed carry none of these fields (all
+/// serde-defaulted) and report zeros.
 fn print_supervision(records: &[TrialRecord], journal: &str) {
     println!();
     println!("== supervision ==");
@@ -271,15 +271,6 @@ fn print_supervision(records: &[TrialRecord], journal: &str) {
         println!("  retried failures:    {}", desc.join(", "));
         println!("  recovered by retry:  {} config(s)", recovered.len());
     }
-
-    let mut merged = Counters::new();
-    for r in records {
-        merged.merge(&r.counters);
-    }
-    println!(
-        "  watchdog re-elections: {}",
-        merged.get("watchdog_reelections")
-    );
 
     let qpath = prose::trace::quarantine_path_for(std::path::Path::new(journal));
     match std::fs::read_to_string(&qpath) {
@@ -814,7 +805,7 @@ fn main() -> ExitCode {
         }
     }
 
-    // ---- supervision: deadlines, retries, watchdog, quarantine --------
+    // ---- supervision: deadlines, retries, quarantine -------------------
     print_supervision(&records, &args.journal);
 
     // ---- numerical guardrails (--guardrails) --------------------------

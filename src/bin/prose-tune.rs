@@ -5,7 +5,7 @@
 //!     --metric maxspace:t:0.01 --threshold 1e-5 \
 //!     [--scope hotspot|whole] [--n-runs 1] [--noise 0.0] [--seed 42]
 //!     [--budget 400] [--exclude result] [--emit-best best.f90]
-//!     [--strategy dd|brute|random] [--samples 100]
+//!     [--strategy dd|brute]
 //!     [--granularity variable|grouped]
 //!     [--journal trials.jsonl] [--resume]
 //!     [--variant-path fast|faithful] [--crosscheck K] [--strict]
@@ -47,7 +47,6 @@ struct Args {
     exclude: Vec<String>,
     emit_best: Option<String>,
     strategy: String,
-    samples: usize,
     granularity: SearchGranularity,
     journal: Option<String>,
     variant_path: VariantPath,
@@ -74,7 +73,7 @@ fn usage() -> ! {
         "usage: prose-tune <file.f90> --procs p1,p2 --metric scalar:<key>|field:<key>|maxspace:<key>[:floor] --threshold X\n\
          options: --scope hotspot|whole (default hotspot), --n-runs N (1), --noise RSD (0),\n\
          --seed S (42), --budget K, --exclude v1,v2, --emit-best out.f90,\n\
-         --strategy dd|brute|random (dd), --samples N (random strategy, default 100),\n\
+         --strategy dd|brute (dd),\n\
          --granularity variable|grouped (dd strategy; grouped searches static\n\
          precision congruence classes first, then refines surviving classes),\n\
          --journal trials.jsonl (append every trial; reuse to skip re-evaluation),\n\
@@ -96,14 +95,13 @@ fn usage() -> ! {
          search, re-validate the final configuration and its runner-ups on N\n\
          held-out input perturbations and demote input-overfit configs),\n\
          --ensemble-seed S (perturbation base seed),\n\
-         --workers N (worker-pool width for batch evaluation; default\n\
-         $PROSE_WORKERS or 1; results are identical at any width),\n\
+         --workers N (worker-pool width for batch evaluation; default 1;\n\
+         results are identical at any width),\n\
          --deadline-ms MS (per-variant wall-clock deadline; kills hung or\n\
-         pathologically slow runs as failed-by-deadline; default\n\
-         $PROSE_DEADLINE_MS or disabled; results are identical when it\n\
-         never fires), --retry-attempts K (re-attempt trials that failed\n\
-         by injected timeout or deadline up to K extra times with doubled\n\
-         budget and deadline; default $PROSE_RETRY_ATTEMPTS or 0),\n\
+         pathologically slow runs as failed-by-deadline; default disabled;\n\
+         results are identical when it never fires), --retry-attempts K\n\
+         (re-attempt trials that failed by injected timeout or deadline up\n\
+         to K extra times with doubled budget and deadline; default 0),\n\
          --absint (run the abstract-interpretation pre-pass: atoms whose static\n\
          round-off bound clears the error budget are pre-demoted to 32-bit and\n\
          atoms whose static range overflows f32 are pinned at 64-bit, both\n\
@@ -132,7 +130,6 @@ fn parse_args() -> Option<Args> {
     let mut exclude = Vec::new();
     let mut emit_best = None;
     let mut strategy = "dd".to_string();
-    let mut samples = 100usize;
     let mut granularity = SearchGranularity::default();
     let mut journal = None;
     let mut variant_path = VariantPath::default();
@@ -147,9 +144,9 @@ fn parse_args() -> Option<Args> {
     let mut shadow_budget = None;
     let mut ensemble_members = None;
     let mut ensemble_seed = EnsembleParams::default().seed;
-    let mut workers = prose::core::tuner::default_workers();
-    let mut deadline_ms = prose::core::tuner::default_deadline_ms();
-    let mut retry_attempts = prose::core::tuner::default_retry_attempts();
+    let mut workers = 1usize;
+    let mut deadline_ms = None;
+    let mut retry_attempts = 0u32;
     let mut absint = false;
     let mut certify = None;
 
@@ -183,8 +180,7 @@ fn parse_args() -> Option<Args> {
             "--budget" => budget = Some(next()?.parse().ok()?),
             "--exclude" => exclude = next()?.split(',').map(str::to_string).collect(),
             "--emit-best" => emit_best = next(),
-            "--strategy" => strategy = next()?,
-            "--samples" => samples = next()?.parse().ok()?,
+            "--strategy" => strategy = next().filter(|s| s == "dd" || s == "brute")?,
             "--granularity" => granularity = next()?.parse().ok()?,
             "--journal" => journal = next(),
             "--variant-path" => variant_path = next()?.parse().ok()?,
@@ -228,7 +224,6 @@ fn parse_args() -> Option<Args> {
         exclude,
         emit_best,
         strategy,
-        samples,
         granularity,
         journal,
         variant_path,
@@ -487,28 +482,12 @@ fn main() -> ExitCode {
         }
     }
 
-    let outcome = match run_cancellable(|| match args.strategy.as_str() {
-        "brute" => tune_brute_force(&task),
-        "random" => {
-            use prose::core::DynamicEvaluator;
-            use prose::search::random::RandomSearch;
-            match DynamicEvaluator::new(&task) {
-                Ok(mut eval) => {
-                    let search = RandomSearch::new(args.samples, args.seed).run(&mut eval);
-                    let metrics = eval.metrics();
-                    Ok(prose::core::tuner::TuningOutcome {
-                        search,
-                        baseline_hotspot_cycles: eval.baseline.hotspot_cycles,
-                        baseline_total_cycles: eval.baseline.total_cycles,
-                        hotspot_share: eval.baseline.hotspot_share(),
-                        metrics,
-                        variants: eval.into_records(),
-                    })
-                }
-                Err(e) => Err(e),
-            }
+    let outcome = match run_cancellable(|| {
+        if args.strategy == "brute" {
+            tune_brute_force(&task)
+        } else {
+            tune(&task)
         }
-        _ => tune(&task),
     }) {
         Ok(r) => r,
         Err(()) => return shutdown_exit(task.journal.as_deref()),

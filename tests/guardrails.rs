@@ -34,7 +34,7 @@ fn cancellation_variant_passes_scalar_metric_but_shadow_demotes_it() {
     let cfg = config_for(&m, &["eps", "canc"]);
 
     let task = m.task(PerfScope::WholeModel, 1).unwrap();
-    let eval = DynamicEvaluator::new(&task).unwrap();
+    let mut eval = DynamicEvaluator::new(&task).unwrap();
     let blind = eval.eval_one(&cfg);
     assert_eq!(
         blind.outcome.status,
@@ -46,7 +46,7 @@ fn cancellation_variant_passes_scalar_metric_but_shadow_demotes_it() {
 
     let mut shadow_task = m.task(PerfScope::WholeModel, 1).unwrap();
     shadow_task.shadow = true;
-    let eval = DynamicEvaluator::new(&shadow_task).unwrap();
+    let mut eval = DynamicEvaluator::new(&shadow_task).unwrap();
     let guarded = eval.eval_one(&cfg);
     assert_eq!(guarded.outcome.status, Status::FailAccuracy);
     assert_eq!(guarded.failure, Some(FailureKind::ShadowBudget));
@@ -84,7 +84,7 @@ fn honest_config_passes_shadow_gate_with_speedup() {
     let m = guardrail::guardrail_smoke(ModelSize::Small).load().unwrap();
     let mut task = m.task(PerfScope::WholeModel, 1).unwrap();
     task.shadow = true;
-    let eval = DynamicEvaluator::new(&task).unwrap();
+    let mut eval = DynamicEvaluator::new(&task).unwrap();
     let rec = eval.eval_one(&config_for(&m, &["s", "x"]));
     assert_eq!(
         rec.outcome.status,

@@ -185,7 +185,7 @@ fn mom6_pathologies_reproduce() {
 fn adcirc_speedup_is_minimal() {
     let m = adcirc::adcirc(ModelSize::Small).load().unwrap();
     let task = m.task(PerfScope::Hotspot, 5).unwrap();
-    let eval = prose::core::DynamicEvaluator::new(&task).unwrap();
+    let mut eval = prose::core::DynamicEvaluator::new(&task).unwrap();
     let rec = eval.eval_one(&vec![true; m.atoms.len()]);
     assert!(matches!(rec.outcome.status, Status::Pass));
     assert!(
