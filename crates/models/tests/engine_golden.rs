@@ -339,8 +339,14 @@ fn guardrail_digests() {
     );
 }
 
-/// Digest of a small program run with shadow off and on.
+/// Digest of a small error program run with shadow off and on.
 fn program_digest(src: &str, cfg: RunConfig) -> u64 {
+    run_digest(src, cfg, true)
+}
+
+/// Digest of a small program run with shadow off and on; `fails` asserts
+/// that both runs end in an error.
+fn run_digest(src: &str, cfg: RunConfig, fails: bool) -> u64 {
     let p = parse_program(src).expect("program parses");
     let ix = analyze(&p).expect("program analyzes");
     let mut h = Fnv::new();
@@ -350,7 +356,7 @@ fn program_digest(src: &str, cfg: RunConfig) -> u64 {
             ..cfg.clone()
         };
         let run = run_program_shadow(&p, &ix, &cfg);
-        assert!(run.0.is_err(), "error case ran to completion");
+        assert_eq!(run.0.is_err(), fails, "unexpected run result: {:?}", run.0);
         digest_run(&mut h, run);
     }
     h.0
@@ -469,5 +475,228 @@ fn injected_fault_digests() {
         got,
         vec![10266212862429972261, 13346200782534011008],
         "injected-fault digests changed"
+    );
+}
+
+// ---- operand-addressing edges ----------------------------------------------
+//
+// Small programs on the edges of element addressing and loop control: an
+// affine subscript `i ± k` off either end of a rank-1 array, a rank-2
+// access out of bounds in its second dimension, a real-typed subscript,
+// integer wrap-around near `huge`, zero-trip and negative-step loops with
+// `cycle` and `exit`, and a fault and an event limit that land on a loop
+// step.
+
+const AFFINE_LOW: &str = r#"
+module m
+contains
+  function prev(a, i) result(r)
+    real(kind=8), intent(in) :: a(6)
+    integer, intent(in) :: i
+    real(kind=8) :: r
+    r = a(i - 1) + a(i)
+  end function prev
+end module m
+program t
+  use m
+  real(kind=8) :: a(6), s
+  integer :: i
+  a = 0.25d0
+  s = 0.0d0
+  do i = 6, 0, -1
+    s = s + prev(a, i)
+  end do
+  call prose_record('s', s)
+end program t
+"#;
+
+const AFFINE_HIGH: &str = r#"
+program t
+  real(kind=4) :: a(5), b(5)
+  real(kind=8) :: s
+  integer :: i
+  a = 1.5
+  b = 0.0
+  s = 0.0d0
+  do i = 1, 5
+    b(i + 1) = a(i) * 2.0
+    s = s + b(i)
+  end do
+  call prose_record('s', s)
+end program t
+"#;
+
+const VARS_OOB: &str = r#"
+module m
+contains
+  subroutine sweep(c, n, s)
+    real(kind=8), intent(inout) :: c(3, 3)
+    integer, intent(in) :: n
+    real(kind=8), intent(inout) :: s
+    integer :: i, j
+    do j = 1, n
+      do i = 1, 3
+        c(i, j) = c(i, j) + 1.0d0
+        s = s + c(i, j)
+      end do
+    end do
+  end subroutine sweep
+end module m
+program t
+  use m
+  real(kind=8) :: c(3, 3), s
+  c = 0.5d0
+  s = 0.0d0
+  call sweep(c, 4, s)
+  call prose_record('s', s)
+end program t
+"#;
+
+const REAL_SUBSCRIPT: &str = r#"
+program t
+  real(kind=8) :: a(8), x, s
+  integer :: i
+  do i = 1, 8
+    a(i) = 1.0d0 * i
+  end do
+  s = 0.0d0
+  x = 0.5d0
+  do i = 1, 6
+    s = s + a(x + 1) + a(x - 0.25d0 + 2)
+    a(x + 2) = s
+    x = x + 1.0d0
+  end do
+  call prose_record('s', s)
+  call prose_record_array('a', a)
+end program t
+"#;
+
+const INT_WRAP: &str = r#"
+program t
+  real(kind=8) :: a(4), s
+  integer :: j, m
+  a = 2.0d0
+  j = huge(j)
+  m = j + 1
+  s = 1.0d0 * m
+  call prose_record('s', s)
+  m = m - 1
+  s = 1.0d0 * m + a(m - j + 4)
+  call prose_record('s', s)
+  s = s + a(j + 2)
+  call prose_record('s', s)
+end program t
+"#;
+
+const LOOP_EDGES: &str = r#"
+program t
+  real(kind=8) :: a(10), s
+  integer :: i, j, k
+  a = 1.0d0
+  s = 0.0d0
+  i = -7
+  do i = 5, 1
+    s = s + 100.0d0
+    if (i > 2) cycle
+    exit
+  end do
+  s = s + i
+  do i = 0, 1, -1
+    s = s + 1000.0d0
+  end do
+  s = s + i
+  do i = 10, 1, -3
+    if (i == 7) cycle
+    s = s + a(i)
+    if (i < 3) exit
+    a(i - 1) = s
+  end do
+  s = s + i
+  k = 0
+  do i = 9, 2, -2
+    do j = i, 1, -1
+      if (j == 4) cycle
+      if (j < 3) exit
+      k = k + j
+    end do
+    if (k > 40) exit
+  end do
+  s = s + k + 0.5d0 * i + 0.25d0 * j
+  call prose_record('s', s)
+  call prose_record_array('a', a)
+end program t
+"#;
+
+/// Loop-step events: after the three leading statements, each trip of the
+/// loop is a step event followed by one body statement, so the step events
+/// are 4 (the first trip test), 6, 8, ...
+const LOOP_STEPS: &str = r#"
+program t
+  real(kind=8) :: s, a(8)
+  integer :: i
+  s = 0.0d0
+  a = 1.0d0
+  do i = 1, 8
+    s = s + a(i) * 0.5d0
+  end do
+  call prose_record('s', s)
+end program t
+"#;
+
+#[test]
+fn addressing_edge_digests() {
+    let cases = [
+        (AFFINE_LOW, true),
+        (AFFINE_HIGH, true),
+        (VARS_OOB, true),
+        (REAL_SUBSCRIPT, false),
+        (INT_WRAP, true),
+        (LOOP_EDGES, false),
+    ];
+    let got: Vec<u64> = cases
+        .iter()
+        .map(|(src, fails)| run_digest(src, RunConfig::default(), *fails))
+        .collect();
+    assert_eq!(
+        got,
+        vec![
+            18083027611125607263,
+            10283011268144970586,
+            6170209652708315542,
+            5630850344130701874,
+            15336094706307768206,
+            12904789557718408044
+        ],
+        "addressing edge digests changed"
+    );
+}
+
+/// A fault and an event limit that land on loop-step events: the first
+/// trip test (event 4) and a later step (event 10).
+#[test]
+fn loop_step_limit_digests() {
+    use prose_faults::InjectedFault;
+    let mut got = Vec::new();
+    for at in [4, 10] {
+        let fault = RunConfig {
+            fault: Some(InjectedFault::NonFinite { after_events: at }),
+            ..RunConfig::default()
+        };
+        let limit = RunConfig {
+            max_events: at - 1,
+            ..RunConfig::default()
+        };
+        got.push(program_digest(LOOP_STEPS, fault));
+        got.push(program_digest(LOOP_STEPS, limit));
+    }
+    assert_eq!(
+        got,
+        vec![
+            514142345403294344,
+            4394214056635776046,
+            18436579854048893841,
+            11080371626994805226
+        ],
+        "loop-step limit digests changed"
     );
 }
