@@ -33,6 +33,9 @@ pub(crate) const NONE: u32 = u32::MAX;
 pub(crate) struct Sr(u32);
 
 impl Sr {
+    /// A `Bin`'s left operand on the value stack (no slot has this index).
+    pub const STACK: Sr = Sr(u32::MAX);
+
     fn of(r: SlotRef) -> Sr {
         match r {
             SlotRef::Local(i) => Sr(i as u32),
@@ -66,11 +69,13 @@ pub(crate) enum StoreMode {
 pub(crate) enum Subs {
     Stack(u8),
     Var(Sr),
+    /// `v ± k` on an integer slot; the add charges `op_int` as a `Bin` would.
+    Off(Sr, i32),
     Vars(Sr, Sr),
 }
 
-/// A binary operator's right operand: on the value stack, or — the common
-/// case — a scalar slot or a literal read in place.
+/// A binary operator's operand: on the value stack, or — the common case —
+/// a scalar slot or a literal read in place.
 #[derive(Debug, Clone, Copy)]
 pub(crate) enum Opnd {
     Stack,
@@ -99,8 +104,10 @@ pub(crate) enum Op {
     Load(Sr),
     /// `(array, subscripts)`, `[subs?] -> [v]`: element read.
     Elem(Sr, Subs),
-    /// `[a, b?] -> [a op b]`.
-    Bin(BinOp, Opnd),
+    /// `(op, lhs, rhs)`, `[a?, b?] -> [a op b]`. The left operand is a slot
+    /// read in place only when the right one is not on the stack, so
+    /// evaluation order holds; else it is [`Sr::STACK`].
+    Bin(BinOp, Sr, Opnd),
     Neg,
     Not,
     /// `(f, n)`, `[args..n] -> [f(args)]`.
@@ -121,14 +128,14 @@ pub(crate) enum Op {
     /// `(target, line)`, `[cond] -> []`: charge the branch; jump when false.
     Branch(u32, u32),
     Jump(u32),
-    /// `(hidden slots, has step, vectorizable, line)`,
-    /// `[start, end, step?] -> []`: enter a counted loop.
-    DoInit(u32, bool, bool, u32),
-    /// `(var, hidden slots, exit)`: loop head — jump to `exit` when done,
-    /// else one iteration's charges.
-    DoTest(Sr, u32, u32),
-    /// `(hidden slots, head)`: step the counter, back to the head.
-    DoNext(u32, u32),
+    /// `(var, hidden slots, has step, vectorizable, exit, line)`,
+    /// `[start, end, step?] -> []`: enter a counted loop and run its first
+    /// trip test — jump to `exit` when it makes no trip, else one
+    /// iteration's charges.
+    DoInit(Sr, u32, bool, bool, u32, u32),
+    /// `(var, hidden slots, body)`: step the counter and test it — back to
+    /// `body` with one iteration's charges, or fall through when done.
+    DoNext(Sr, u32, u32),
     /// `(vectorizable)`: leave a counted loop (normally or unwinding) —
     /// fold its buffered cost, check the budget.
     DoEnd(bool),
@@ -270,7 +277,7 @@ impl Compiler<'_> {
     fn patch(&mut self, at: usize, to: usize) {
         let to = to as u32;
         match &mut self.ops[at] {
-            Op::Jump(t) | Op::Branch(t, _) | Op::DoTest(_, _, t) | Op::WhileTest(t, _) => *t = to,
+            Op::Jump(t) | Op::Branch(t, _) | Op::DoInit(.., t, _) | Op::WhileTest(t, _) => *t = to,
             other => unreachable!("patching {other:?}"),
         }
     }
@@ -411,14 +418,14 @@ impl Compiler<'_> {
                     self.expr(st);
                 }
                 let (var, hid, vect) = (Sr::of(*var), self.hidden, meta.vectorizable);
+                let (init, stepped) = (self.here(), step.is_some());
                 self.hidden += 3;
-                self.ops.push(Op::DoInit(hid, step.is_some(), vect, *line));
-                let test = self.here();
-                self.ops.push(Op::DoTest(var, hid, NONE));
-                let scope = self.loop_body(Some(vect), test, body);
-                let next = self.here();
                 self.ops
-                    .extend([Op::DoNext(hid, test as u32), Op::DoEnd(vect)]);
+                    .push(Op::DoInit(var, hid, stepped, vect, NONE, *line));
+                let scope = self.loop_body(Some(vect), init, body);
+                let (next, top) = (self.here(), init as u32 + 1);
+                self.ops
+                    .extend([Op::DoNext(var, hid, top), Op::DoEnd(vect)]);
                 self.close(scope, next + 1, next);
             }
             IStmt::DoWhile { cond, body, line } => {
@@ -519,14 +526,32 @@ impl Compiler<'_> {
     }
 
     fn subs(&mut self, indices: &[IExpr]) -> Subs {
-        match indices {
-            [IExpr::LoadScalar(a)] => Subs::Var(Sr::of(*a)),
-            [IExpr::LoadScalar(a), IExpr::LoadScalar(b)] => Subs::Vars(Sr::of(*a), Sr::of(*b)),
-            _ => {
-                indices.iter().for_each(|e| self.expr(e));
-                Subs::Stack(indices.len() as u8)
+        let in_place = match indices {
+            [IExpr::LoadScalar(a)] => Some(Subs::Var(Sr::of(*a))),
+            [IExpr::LoadScalar(a), IExpr::LoadScalar(b)] => {
+                Some(Subs::Vars(Sr::of(*a), Sr::of(*b)))
             }
-        }
+            // `v ± k` on an integer slot; a real-typed `v` keeps the general path.
+            [IExpr::Bin { op, lhs, rhs }] => match (op, &**lhs, &**rhs) {
+                (BinOp::Add | BinOp::Sub, IExpr::LoadScalar(v), IExpr::IntLit(k))
+                    if self.slot_ty(*v) == STy::Int =>
+                {
+                    let k = if *op == BinOp::Add {
+                        Some(*k)
+                    } else {
+                        k.checked_neg()
+                    };
+                    let k = k.and_then(|k| i32::try_from(k).ok());
+                    k.map(|k| Subs::Off(Sr::of(*v), k))
+                }
+                _ => None,
+            },
+            _ => None,
+        };
+        in_place.unwrap_or_else(|| {
+            indices.iter().for_each(|e| self.expr(e));
+            Subs::Stack(indices.len() as u8)
+        })
     }
 
     /// A call: guards and accounting, argument binding in order, the
@@ -601,17 +626,18 @@ impl Compiler<'_> {
             }
             IExpr::Reduce { f, slot } => self.ops.push(Op::Reduce(*f, Sr::of(*slot))),
             IExpr::Bin { op, lhs, rhs } => {
-                self.expr(lhs);
-                let rhs = match **rhs {
-                    IExpr::LoadScalar(r) => Opnd::Slot(Sr::of(r)),
-                    IExpr::RealLit(x) => Opnd::Lit(x),
-                    IExpr::IntLit(i) => Opnd::Int(i),
-                    ref e => {
-                        self.expr(e);
-                        Opnd::Stack
+                let l = match (&**lhs, opnd(rhs)) {
+                    (IExpr::LoadScalar(l), Some(_)) => Sr::of(*l),
+                    _ => {
+                        self.expr(lhs);
+                        Sr::STACK
                     }
                 };
-                self.ops.push(Op::Bin(*op, rhs));
+                let r = opnd(rhs).unwrap_or_else(|| {
+                    self.expr(rhs);
+                    Opnd::Stack
+                });
+                self.ops.push(Op::Bin(*op, l, r));
             }
             IExpr::Un { op, operand } => {
                 self.expr(operand);
@@ -622,6 +648,16 @@ impl Compiler<'_> {
                 }
             }
         }
+    }
+}
+
+/// An operand read in place: a scalar slot or a literal.
+fn opnd(e: &IExpr) -> Option<Opnd> {
+    match *e {
+        IExpr::LoadScalar(r) => Some(Opnd::Slot(Sr::of(r))),
+        IExpr::RealLit(x) => Some(Opnd::Lit(x)),
+        IExpr::IntLit(i) => Some(Opnd::Int(i)),
+        _ => None,
     }
 }
 
@@ -655,5 +691,38 @@ fn default_slot(d: &SlotDecl) -> V {
             STy::Bool => V::Bool(false),
             STy::Str => V::Str(0),
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// A stencil update compiles to in-place operands: no stack subscripts,
+    /// and no `Load` feeding a `Bin`.
+    #[test]
+    fn stencil_operands_compile_in_place() {
+        let src = "program t\n real(kind=8) :: u(9), tend_u(9), h(9), dts, grav, rdx\n \
+            integer :: i\n u(i) = u(i) + dts*(tend_u(i) - grav*(h(i+1) - h(i-1))*0.5d0*rdx)\n \
+            dts = grav * rdx\nend program t";
+        let p = prose_fortran::parse_program(src).expect("parses");
+        let ix = prose_fortran::analyze(&p).expect("analyzes");
+        let ir = crate::lower::lower_program(&p, &ix, &Default::default(), 16).expect("lowers");
+        let ops = compile(&ir).ops;
+        use Subs::{Off, Stack};
+        let count = |f: fn(&Op) -> bool| ops.iter().filter(|op| f(op)).count();
+        assert_eq!(count(|op| matches!(op, Op::Elem(_, Off(..)))), 2);
+        assert_eq!(
+            count(|op| matches!(op, Op::Bin(_, l, _) if *l != Sr::STACK)),
+            1
+        );
+        assert_eq!(
+            count(|op| matches!(op, Op::Elem(_, Stack(_)) | Op::SetElem(_, Stack(_), ..))),
+            0
+        );
+        let load_bin = ops
+            .windows(2)
+            .any(|w| matches!(w, [Op::Load(_), Op::Bin(..)]));
+        assert!(!load_bin, "{ops:?}");
     }
 }

@@ -157,10 +157,6 @@ pub struct LoopCtx {
 }
 
 impl LoopCtx {
-    pub fn new() -> Self {
-        Self::default()
-    }
-
     pub fn bucket(&mut self, proc: usize) -> &mut LoopBucket {
         if let Some(pos) = self.buckets.iter().position(|(p, _)| *p == proc) {
             return &mut self.buckets[pos].1;
@@ -174,20 +170,22 @@ impl LoopCtx {
         !self.saw_cast && !self.saw_call
     }
 
-    /// Fold the buffered cost into per-proc charges. Returns
-    /// `(proc, cycles)` pairs and whether the loop vectorized.
-    pub fn fold(self, params: &CostParams) -> (Vec<(usize, f64)>, bool) {
+    /// Fold the buffered cost into the per-procedure cycles and the total,
+    /// bucket by bucket, leaving the context empty for reuse (the bucket
+    /// vector keeps its capacity). Returns whether the loop vectorized.
+    pub fn fold(&mut self, params: &CostParams, proc_cycles: &mut [f64], total: &mut f64) -> bool {
         let vectorized = self.vectorized();
-        let mut out: Vec<(usize, f64)> = Vec::with_capacity(self.buckets.len());
-        for (proc, b) in self.buckets {
+        for (proc, b) in self.buckets.drain(..) {
             let cost = if vectorized {
                 b.f32_cost / params.lanes_f32 + b.f64_cost / params.lanes_f64
             } else {
                 b.f32_cost + b.f64_cost
             };
-            out.push((proc, cost));
+            proc_cycles[proc] += cost;
+            *total += cost;
         }
-        (out, vectorized)
+        (self.saw_cast, self.saw_call) = (false, false);
+        vectorized
     }
 }
 
@@ -195,53 +193,61 @@ impl LoopCtx {
 mod tests {
     use super::*;
 
+    /// Fold `ctx` into fresh per-procedure cycles for procedures `0..4`.
+    fn folded(ctx: &mut LoopCtx, p: &CostParams) -> (Vec<f64>, bool) {
+        let (mut cycles, mut total) = (vec![0.0; 4], 0.0);
+        let vectorized = ctx.fold(p, &mut cycles, &mut total);
+        assert_eq!(total, cycles.iter().sum::<f64>());
+        (cycles, vectorized)
+    }
+
     #[test]
     fn default_params_make_f32_vector_loops_twice_as_fast() {
         let p = CostParams::default();
         // Same op mix, all-f32 vs all-f64, vectorized.
-        let mut c32 = LoopCtx::new();
+        let mut c32 = LoopCtx::default();
         c32.bucket(0).f32_cost = 100.0;
-        let mut c64 = LoopCtx::new();
+        let mut c64 = LoopCtx::default();
         c64.bucket(0).f64_cost = 100.0;
-        let (f32_folded, v1) = c32.fold(&p);
-        let (f64_folded, v2) = c64.fold(&p);
+        let (f32_folded, v1) = folded(&mut c32, &p);
+        let (f64_folded, v2) = folded(&mut c64, &p);
         assert!(v1 && v2);
-        assert!((f64_folded[0].1 / f32_folded[0].1 - 2.0).abs() < 1e-12);
+        assert!((f64_folded[0] / f32_folded[0] - 2.0).abs() < 1e-12);
     }
 
     #[test]
     fn cast_demotes_loop_to_scalar_cost() {
         let p = CostParams::default();
-        let mut ctx = LoopCtx::new();
+        let mut ctx = LoopCtx::default();
         ctx.bucket(0).f64_cost = 100.0;
         ctx.saw_cast = true;
-        let (folded, vectorized) = ctx.fold(&p);
+        let (cycles, vectorized) = folded(&mut ctx, &p);
         assert!(!vectorized);
-        assert_eq!(folded[0].1, 100.0);
+        assert_eq!(cycles[0], 100.0);
     }
 
     #[test]
     fn noninlined_call_demotes_loop() {
         let p = CostParams::default();
-        let mut ctx = LoopCtx::new();
+        let mut ctx = LoopCtx::default();
         ctx.bucket(3).f32_cost = 80.0;
         ctx.saw_call = true;
-        let (folded, vectorized) = ctx.fold(&p);
+        let (cycles, vectorized) = folded(&mut ctx, &p);
         assert!(!vectorized);
-        assert_eq!(folded, vec![(3, 80.0)]);
+        assert_eq!(cycles, [0.0, 0.0, 0.0, 80.0]);
+        // Folding empties the context for reuse.
+        assert!(ctx.buckets.is_empty() && ctx.vectorized());
     }
 
     #[test]
     fn buckets_attribute_per_procedure() {
         let p = CostParams::default();
-        let mut ctx = LoopCtx::new();
+        let mut ctx = LoopCtx::default();
         ctx.bucket(0).f64_cost = 40.0;
         ctx.bucket(1).f64_cost = 8.0;
         ctx.bucket(0).f64_cost += 4.0;
-        let (folded, _) = ctx.fold(&p);
-        assert_eq!(folded.len(), 2);
-        assert_eq!(folded[0], (0, 11.0)); // (40+4)/4 lanes
-        assert_eq!(folded[1], (1, 2.0));
+        let (cycles, _) = folded(&mut ctx, &p);
+        assert_eq!(cycles, [11.0, 2.0, 0.0, 0.0]); // (40+4)/4 lanes
     }
 
     #[test]
@@ -258,13 +264,13 @@ mod tests {
         // Scalar context: cast adds cost directly. Vector context: cast both
         // adds cost and demotes — strictly worse. Sanity-check the latter.
         let p = CostParams::default();
-        let mut without = LoopCtx::new();
+        let mut without = LoopCtx::default();
         without.bucket(0).f64_cost = 100.0;
-        let (w, _) = without.fold(&p);
-        let mut with = LoopCtx::new();
+        let (w, _) = folded(&mut without, &p);
+        let mut with = LoopCtx::default();
         with.bucket(0).f64_cost = 100.0 + p.cast;
         with.saw_cast = true;
-        let (c, _) = with.fold(&p);
-        assert!(c[0].1 > w[0].1);
+        let (c, _) = folded(&mut with, &p);
+        assert!(c[0] > w[0]);
     }
 }

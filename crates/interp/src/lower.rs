@@ -59,19 +59,16 @@ pub(crate) fn lower_program_with_maps(
         }
     }
 
-    let mut proc_ids: HashMap<String, usize> = HashMap::new();
-    let mut proc_list: Vec<(&Procedure, ScopeId)> = Vec::new();
-    for (_, p) in program.all_procedures() {
-        let scope = index.scope_of_procedure(&p.name).expect("proc indexed");
-        proc_list.push((p, scope));
-    }
-    for (i, (p, _)) in proc_list.iter().enumerate() {
-        proc_ids.insert(p.name.clone(), i);
-    }
+    let proc_list: Vec<(&Procedure, ScopeId)> = (program.all_procedures())
+        .map(|(_, p)| (p, index.scope_of_procedure(&p.name).expect("proc indexed")))
+        .collect();
     let main_proc = proc_list.len();
+    let mut proc_ids: ProcIdMap = (proc_list.iter().enumerate())
+        .map(|(i, (p, _))| (p.name.clone(), i))
+        .collect();
     proc_ids.insert("@main".into(), main_proc);
 
-    let lw = Lowerer {
+    let mut lw = Lowerer {
         index,
         globals,
         global_map,
@@ -79,7 +76,7 @@ pub(crate) fn lower_program_with_maps(
     };
 
     // Pass 2: patch global dims and inits.
-    let mut patches: Vec<(usize, Option<Vec<IDim>>, Option<IExpr>)> = Vec::new();
+    let mut patches = Vec::new();
     for m in &program.modules {
         let scope = index.module_scope(&m.name).expect("module indexed");
         let ctx = ProcCtx {
@@ -89,77 +86,49 @@ pub(crate) fn lower_program_with_maps(
             lw: &lw,
             local_arrays: None,
         };
-        for d in &m.decls {
-            for e in &d.entities {
-                let idx = lw.global_map[&(scope, e.name.clone())];
-                let dims = match d.dims_for(e) {
-                    Some(ds) => Some(ctx.lower_decl_dims(ds, d.span.line)?),
-                    None => None,
-                };
-                let init = e.init.as_ref().map(|x| ctx.lower_expr(x)).transpose()?;
-                patches.push((idx, dims, init));
-            }
-        }
+        patches
+            .extend(ctx.decl_patches(&m.decls, |name| lw.global_map[&(scope, name.to_string())])?);
     }
-    let mut lw = lw;
     for (idx, dims, init) in patches {
-        lw.globals[idx].dims = dims;
-        lw.globals[idx].init = init;
+        (lw.globals[idx].dims, lw.globals[idx].init) = (dims, init);
     }
-    let lw = lw;
 
+    let lower = |p: &Procedure, scope| {
+        lower_procedure(&lw, p, scope, wrapper_names, inline_max_stmts, None)
+    };
     let mut procs = Vec::with_capacity(proc_list.len() + 1);
     for (p, scope) in &proc_list {
-        procs.push(lower_procedure(
-            &lw,
-            p,
-            *scope,
-            wrapper_names,
-            inline_max_stmts,
-        )?);
+        procs.push(lower(p, *scope)?);
     }
-    if let Some(mp) = &program.main {
-        let scope = (0..index.scope_count())
-            .map(ScopeId)
-            .find(|s| index.scope_info(*s).kind == ScopeKind::Main)
-            .expect("main scope");
-        let pseudo = Procedure {
-            kind: ast::ProcKind::Subroutine,
-            name: "@main".into(),
-            params: vec![],
-            uses: mp.uses.clone(),
-            decls: mp.decls.clone(),
-            body: mp.body.clone(),
-            span: mp.span,
-        };
-        procs.push(lower_procedure(
-            &lw,
-            &pseudo,
-            scope,
-            wrapper_names,
-            inline_max_stmts,
-        )?);
-    } else {
+    let Some(mp) = &program.main else {
         return Err(FortranError::sema(
             0,
             "program has no main program unit to execute",
         ));
-    }
-
-    let Lowerer {
-        globals,
-        global_map,
-        proc_ids,
-        ..
-    } = lw;
+    };
+    let scope = (0..index.scope_count())
+        .map(ScopeId)
+        .find(|s| index.scope_info(*s).kind == ScopeKind::Main)
+        .expect("main scope");
+    let pseudo = Procedure {
+        kind: ast::ProcKind::Subroutine,
+        name: "@main".into(),
+        params: vec![],
+        uses: mp.uses.clone(),
+        decls: mp.decls.clone(),
+        body: mp.body.clone(),
+        span: mp.span,
+    };
+    procs.push(lower(&pseudo, scope)?);
+    let (globals, map, ids) = (lw.globals, lw.global_map, lw.proc_ids);
     Ok((
         ProgramIR {
             procs,
             globals,
             main_proc,
         },
-        global_map,
-        proc_ids,
+        map,
+        ids,
     ))
 }
 
@@ -202,7 +171,7 @@ pub(crate) fn lower_wrapper_procedure(
         .map(|e| e.name.clone())
         .collect();
     let wrapper_names: HashSet<String> = std::iter::once(p.name.clone()).collect();
-    lower_procedure_inner(lw, p, callee_scope, &wrapper_names, 0, Some(arrays))
+    lower_procedure(lw, p, callee_scope, &wrapper_names, 0, Some(arrays))
 }
 
 pub(crate) struct Lowerer<'a> {
@@ -213,16 +182,6 @@ pub(crate) struct Lowerer<'a> {
 }
 
 fn lower_procedure(
-    lw: &Lowerer<'_>,
-    p: &Procedure,
-    scope: ScopeId,
-    wrapper_names: &HashSet<String>,
-    inline_max_stmts: usize,
-) -> Result<ProcIR> {
-    lower_procedure_inner(lw, p, scope, wrapper_names, inline_max_stmts, None)
-}
-
-fn lower_procedure_inner(
     lw: &Lowerer<'_>,
     p: &Procedure,
     scope: ScopeId,
@@ -249,21 +208,8 @@ fn lower_procedure_inner(
     };
 
     // Pass 2: dims and inits (may reference any slot).
-    let mut patches: Vec<(usize, Option<Vec<IDim>>, Option<IExpr>)> = Vec::new();
-    for d in &p.decls {
-        for e in &d.entities {
-            let idx = ctx.slot_map[&e.name];
-            let dims = match d.dims_for(e) {
-                Some(ds) => Some(ctx.lower_decl_dims(ds, d.span.line)?),
-                None => None,
-            };
-            let init = e.init.as_ref().map(|x| ctx.lower_expr(x)).transpose()?;
-            patches.push((idx, dims, init));
-        }
-    }
-    for (idx, dims, init) in patches {
-        ctx.slots[idx].dims = dims;
-        ctx.slots[idx].init = init;
+    for (idx, dims, init) in ctx.decl_patches(&p.decls, |name| ctx.slot_map[name])? {
+        (ctx.slots[idx].dims, ctx.slots[idx].init) = (dims, init);
     }
 
     let params: Vec<usize> = p
@@ -320,6 +266,9 @@ fn make_slot_decl(d: &ast::Declaration, e: &ast::EntityDecl, is_dummy: bool) -> 
     }
 }
 
+/// A declared entity's slot, lowered dimensions and lowered initializer.
+type DeclPatch = (usize, Option<Vec<IDim>>, Option<IExpr>);
+
 /// Per-procedure lowering context (read-only after slot creation).
 struct ProcCtx<'a> {
     scope: ScopeId,
@@ -350,6 +299,12 @@ impl<'a> ProcCtx<'a> {
             .map(|i| SlotRef::Global(*i))
     }
 
+    /// [`Self::resolve`], or the unresolved-name error at `line`.
+    fn slot(&self, name: &str, line: u32) -> Result<SlotRef> {
+        let err = || self.err(line, format!("unresolved `{name}`"));
+        self.resolve(name).ok_or_else(err)
+    }
+
     fn slot_decl(&self, r: SlotRef) -> &SlotDecl {
         match r {
             SlotRef::Local(i) => &self.slots[i],
@@ -378,8 +333,31 @@ impl<'a> ProcCtx<'a> {
         self.lw.index.lookup(self.scope, name).is_none() && self.lw.index.procedure(name).is_some()
     }
 
-    fn lower_decl_dims(&self, dims: &[DimSpec], line: u32) -> Result<Vec<IDim>> {
-        dims.iter()
+    /// Each declared entity's slot (by `slot_of`), lowered dimensions and
+    /// lowered initializer.
+    fn decl_patches(
+        &self,
+        decls: &[ast::Declaration],
+        slot_of: impl Fn(&str) -> usize,
+    ) -> Result<Vec<DeclPatch>> {
+        let mut out = Vec::new();
+        for d in decls {
+            for e in &d.entities {
+                let dims = match d.dims_for(e) {
+                    Some(ds) => Some(self.lower_dims(ds, d.span.line, false)?),
+                    None => None,
+                };
+                let init = e.init.as_ref().map(|x| self.lower_expr(x)).transpose()?;
+                out.push((slot_of(&e.name), dims, init));
+            }
+        }
+        Ok(out)
+    }
+
+    /// Declared dimensions, or an `allocate`'s (`alloc`), which may not
+    /// defer a bound. A declaration's errors are reported at its line.
+    fn lower_dims(&self, dims: &[DimSpec], line: u32, alloc: bool) -> Result<Vec<IDim>> {
+        let dims = (dims.iter())
             .map(|d| match d {
                 DimSpec::Upper(e) => Ok(IDim::Explicit {
                     lower: None,
@@ -389,10 +367,16 @@ impl<'a> ProcCtx<'a> {
                     lower: Some(self.lower_expr(lo)?),
                     upper: self.lower_expr(hi)?,
                 }),
+                DimSpec::Deferred if alloc => {
+                    Err(self.err(line, "`:` is not a valid allocate bound"))
+                }
                 DimSpec::Deferred => Ok(IDim::Deferred),
             })
-            .collect::<Result<Vec<_>>>()
-            .map_err(|e| self.err(line, e.to_string()))
+            .collect::<Result<Vec<_>>>();
+        match alloc {
+            true => dims,
+            false => dims.map_err(|e| self.err(line, e.to_string())),
+        }
     }
 
     fn lower_stmts(&self, body: &[Stmt]) -> Result<Vec<IStmt>> {
@@ -405,18 +389,14 @@ impl<'a> ProcCtx<'a> {
             Stmt::Assign { target, value, .. } => {
                 match target {
                     LValue::Var(name) => {
-                        let slot = self
-                            .resolve(name)
-                            .ok_or_else(|| self.err(line, format!("unresolved `{name}`")))?;
+                        let slot = self.slot(name, line)?;
                         if self.is_array_name(name) {
                             // `a = b` whole-array copy vs `a = <scalar>`
                             // broadcast. Checked before lowering the value:
                             // a bare array reference is only legal here.
                             if let Expr::Var(srcn) = value {
                                 if self.is_array_name(srcn) {
-                                    let src = self.resolve(srcn).ok_or_else(|| {
-                                        self.err(line, format!("unresolved `{srcn}`"))
-                                    })?;
+                                    let src = self.slot(srcn, line)?;
                                     return Ok(IStmt::AssignArrayCopy {
                                         dst: slot,
                                         src,
@@ -440,9 +420,7 @@ impl<'a> ProcCtx<'a> {
                         }
                     }
                     LValue::Index { name, indices } => {
-                        let slot = self
-                            .resolve(name)
-                            .ok_or_else(|| self.err(line, format!("unresolved `{name}`")))?;
+                        let slot = self.slot(name, line)?;
                         let idx = indices
                             .iter()
                             .map(|e| self.lower_expr(e))
@@ -539,10 +517,8 @@ impl<'a> ProcCtx<'a> {
             Stmt::Allocate { items, .. } => {
                 let mut stmts = Vec::new();
                 for (name, dims) in items {
-                    let slot = self
-                        .resolve(name)
-                        .ok_or_else(|| self.err(line, format!("unresolved `{name}`")))?;
-                    let idims = self.lower_alloc_dims(dims, line)?;
+                    let slot = self.slot(name, line)?;
+                    let idims = self.lower_dims(dims, line, true)?;
                     stmts.push(IStmt::Allocate {
                         slot,
                         dims: idims,
@@ -562,30 +538,11 @@ impl<'a> ProcCtx<'a> {
             Stmt::Deallocate { names, .. } => {
                 let slots = names
                     .iter()
-                    .map(|n| {
-                        self.resolve(n)
-                            .ok_or_else(|| self.err(line, format!("unresolved `{n}`")))
-                    })
+                    .map(|n| self.slot(n, line))
                     .collect::<Result<Vec<_>>>()?;
                 Ok(IStmt::Deallocate { slots, line })
             }
         }
-    }
-
-    fn lower_alloc_dims(&self, dims: &[DimSpec], line: u32) -> Result<Vec<IDim>> {
-        dims.iter()
-            .map(|d| match d {
-                DimSpec::Upper(e) => Ok(IDim::Explicit {
-                    lower: None,
-                    upper: self.lower_expr(e)?,
-                }),
-                DimSpec::Range(lo, hi) => Ok(IDim::Explicit {
-                    lower: Some(self.lower_expr(lo)?),
-                    upper: self.lower_expr(hi)?,
-                }),
-                DimSpec::Deferred => Err(self.err(line, "`:` is not a valid allocate bound")),
-            })
-            .collect()
     }
 
     fn lower_intrinsic_sub(&self, name: &str, args: &[Expr], line: u32) -> Result<IStmt> {
@@ -611,9 +568,7 @@ impl<'a> ProcCtx<'a> {
                 } else {
                     let slot =
                         match &args[1] {
-                            Expr::Var(n) if self.is_array_name(n) => self
-                                .resolve(n)
-                                .ok_or_else(|| self.err(line, format!("unresolved `{n}`")))?,
+                            Expr::Var(n) if self.is_array_name(n) => self.slot(n, line)?,
                             _ => return Err(self.err(
                                 line,
                                 "second argument of prose_record_array must be an array variable",
@@ -649,15 +604,11 @@ impl<'a> ProcCtx<'a> {
     fn lower_lvalue_arg(&self, e: &Expr, line: u32) -> Result<IArg> {
         match e {
             Expr::Var(n) if !self.is_array_name(n) => {
-                let slot = self
-                    .resolve(n)
-                    .ok_or_else(|| self.err(line, format!("unresolved `{n}`")))?;
+                let slot = self.slot(n, line)?;
                 Ok(IArg::ScalarRef(ILValue::Scalar(slot)))
             }
             Expr::NameRef { name, args } if self.is_array_name(name) => {
-                let slot = self
-                    .resolve(name)
-                    .ok_or_else(|| self.err(line, format!("unresolved `{name}`")))?;
+                let slot = self.slot(name, line)?;
                 let idx = args
                     .iter()
                     .map(|a| self.lower_expr(a))
@@ -686,9 +637,7 @@ impl<'a> ProcCtx<'a> {
             if dummy.is_array() {
                 match a {
                     Expr::Var(n) if self.is_array_name(n) => {
-                        let slot = self
-                            .resolve(n)
-                            .ok_or_else(|| self.err(line, format!("unresolved `{n}`")))?;
+                        let slot = self.slot(n, line)?;
                         out.push(IArg::ArrayRef(slot));
                     }
                     _ => {
@@ -705,9 +654,7 @@ impl<'a> ProcCtx<'a> {
             } else {
                 match a {
                     Expr::Var(n) if !self.is_array_name(n) => {
-                        let slot = self
-                            .resolve(n)
-                            .ok_or_else(|| self.err(line, format!("unresolved `{n}`")))?;
+                        let slot = self.slot(n, line)?;
                         if self.slot_decl(slot).is_const {
                             out.push(IArg::Value(IExpr::LoadScalar(slot)));
                         } else {
@@ -715,9 +662,7 @@ impl<'a> ProcCtx<'a> {
                         }
                     }
                     Expr::NameRef { name, args: idx } if self.is_array_name(name) => {
-                        let slot = self
-                            .resolve(name)
-                            .ok_or_else(|| self.err(line, format!("unresolved `{name}`")))?;
+                        let slot = self.slot(name, line)?;
                         let ii = idx
                             .iter()
                             .map(|e| self.lower_expr(e))
@@ -744,16 +689,12 @@ impl<'a> ProcCtx<'a> {
                         format!("whole-array expression `{n}` is not supported in this context"),
                     ));
                 }
-                let slot = self
-                    .resolve(n)
-                    .ok_or_else(|| self.err(0, format!("unresolved `{n}`")))?;
+                let slot = self.slot(n, 0)?;
                 Ok(IExpr::LoadScalar(slot))
             }
             Expr::NameRef { name, args } => {
                 if self.is_array_name(name) {
-                    let slot = self
-                        .resolve(name)
-                        .ok_or_else(|| self.err(0, format!("unresolved `{name}`")))?;
+                    let slot = self.slot(name, 0)?;
                     let idx = args
                         .iter()
                         .map(|a| self.lower_expr(a))
@@ -792,9 +733,7 @@ impl<'a> ProcCtx<'a> {
         match name {
             "size" => {
                 let slot = match &args[0] {
-                    Expr::Var(n) if self.is_array_name(n) => self
-                        .resolve(n)
-                        .ok_or_else(|| self.err(0, format!("unresolved `{n}`")))?,
+                    Expr::Var(n) if self.is_array_name(n) => self.slot(n, 0)?,
                     _ => return Err(self.err(0, "size() requires an array variable")),
                 };
                 let dim = match args.get(1) {
@@ -805,9 +744,7 @@ impl<'a> ProcCtx<'a> {
             }
             "sum" | "maxval" | "minval" => {
                 let slot = match &args[0] {
-                    Expr::Var(n) if self.is_array_name(n) => self
-                        .resolve(n)
-                        .ok_or_else(|| self.err(0, format!("unresolved `{n}`")))?,
+                    Expr::Var(n) if self.is_array_name(n) => self.slot(n, 0)?,
                     _ => return Err(self.err(0, format!("{name}() requires an array variable"))),
                 };
                 let f = match name {

@@ -216,6 +216,8 @@ pub(crate) struct Machine<'a> {
     proc_calls: Vec<u64>,
     total: f64,
     loop_stack: Vec<LoopCtx>,
+    /// Emptied contexts of finished loops, reused by the next loop entry.
+    spare_loops: Vec<LoopCtx>,
     pub budget: f64,
     pub max_events: u64,
     pub events: u64,
@@ -290,6 +292,7 @@ impl<'a> Machine<'a> {
             proc_calls: vec![0; nprocs],
             total: 0.0,
             loop_stack: Vec::new(),
+            spare_loops: Vec::new(),
             budget,
             max_events,
             events: 0,
@@ -432,16 +435,20 @@ impl<'a> Machine<'a> {
                     self.stack.push(v);
                 }
                 Op::Elem(slot, subs) => self.load_elem(slot, subs)?,
-                Op::Bin(op, rhs) => {
+                Op::Bin(op, lhs, rhs) => {
                     let b = match rhs {
                         Opnd::Stack => self.pop(),
                         Opnd::Slot(s) => self.load(s)?,
                         Opnd::Lit(x) => E::new(V::Lit(x), x),
                         Opnd::Int(i) => E::new(V::Int(i), i as f64),
                     };
-                    let a = self.pop();
-                    // FP arithmetic whose promotion is free: same precision,
-                    // or one side a kind-generic literal.
+                    let a = match lhs {
+                        Sr::STACK => self.pop(),
+                        s => self.load(s)?,
+                    };
+                    // Arithmetic whose promotion is free: same FP precision,
+                    // one side a kind-generic literal, or integer add, sub
+                    // and mul (which wrap).
                     let r = match (a.v, b.v) {
                         (V::F64(x), V::F64(y) | V::Lit(y)) | (V::Lit(x), V::F64(y))
                             if op.is_arithmetic() =>
@@ -452,6 +459,16 @@ impl<'a> Machine<'a> {
                         (V::F32(x), V::F32(y)) if op.is_arithmetic() => {
                             self.charge_op(op_class(op), FpPrecision::Single);
                             self.finite(V::F32(apply_f32(op, x, y)), 0, "arith")?
+                        }
+                        (V::Int(x), V::Int(y))
+                            if matches!(op, BinOp::Add | BinOp::Sub | BinOp::Mul) =>
+                        {
+                            self.charge_plain(self.params.op_int);
+                            V::Int(match op {
+                                BinOp::Add => x.wrapping_add(y),
+                                BinOp::Sub => x.wrapping_sub(y),
+                                _ => x.wrapping_mul(y),
+                            })
                         }
                         (x, y) => self.binop(op, x, y)?,
                     };
@@ -531,7 +548,7 @@ impl<'a> Machine<'a> {
                     }
                 }
                 Op::Jump(to) => pc = to as usize,
-                Op::DoInit(hid, step, vect, line) => {
+                Op::DoInit(var, hid, step, vect, exit, line) => {
                     let base = self.stack.len() - 2 - usize::from(step);
                     let s0 = self.to_int(self.stack[base].v, line)?;
                     let e0 = self.to_int(self.stack[base + 1].v, line)?;
@@ -544,32 +561,19 @@ impl<'a> Machine<'a> {
                         return Err(self.invalid(line, "zero do-loop step"));
                     }
                     if vect {
-                        self.loop_stack.push(LoopCtx::new());
+                        let ctx = self.spare_loops.pop().unwrap_or_default();
+                        self.loop_stack.push(ctx);
                     }
                     let h = self.base + hid as usize;
                     self.slots[h..h + 3].copy_from_slice(&[V::Int(s0), V::Int(e0), V::Int(st)]);
-                }
-                Op::DoTest(var, hid, exit) => {
-                    let h = self.base + hid as usize;
-                    let [V::Int(i), V::Int(e0), V::Int(st)] = self.slots[h..h + 3] else {
-                        unreachable!("loop control slots hold integers")
-                    };
-                    if (st > 0 && i > e0) || (st < 0 && i < e0) {
+                    if !self.do_trip(var, h, false)? {
                         pc = exit as usize;
-                        continue;
                     }
-                    let v = self.at(var);
-                    self.slots[v] = V::Int(i);
-                    self.ops.loop_iters += 1;
-                    self.charge_plain(self.params.loop_control);
-                    self.bump_event()?;
                 }
-                Op::DoNext(hid, test) => {
-                    let h = self.base + hid as usize;
-                    if let (V::Int(i), V::Int(st)) = (self.slots[h], self.slots[h + 2]) {
-                        self.slots[h] = V::Int(i.wrapping_add(st));
+                Op::DoNext(var, hid, top) => {
+                    if self.do_trip(var, self.base + hid as usize, true)? {
+                        pc = top as usize;
                     }
-                    pc = test as usize;
                 }
                 Op::DoEnd(vect) => {
                     if vect {
@@ -748,6 +752,29 @@ impl<'a> Machine<'a> {
             .expect("compiled code balances the value stack")
     }
 
+    /// A counted loop's trip test on its hidden slots at `h`, after
+    /// stepping the counter when `step`: false when the loop is done, else
+    /// the counter lands in `var` and one iteration is charged.
+    #[inline]
+    fn do_trip(&mut self, var: Sr, h: usize, step: bool) -> R<bool> {
+        let [V::Int(mut i), V::Int(e0), V::Int(st)] = self.slots[h..h + 3] else {
+            unreachable!("loop control slots hold integers")
+        };
+        if step {
+            i = i.wrapping_add(st);
+            self.slots[h] = V::Int(i);
+        }
+        if (st > 0 && i > e0) || (st < 0 && i < e0) {
+            return Ok(false);
+        }
+        let v = self.at(var);
+        self.slots[v] = V::Int(i);
+        self.ops.loop_iters += 1;
+        self.charge_plain(self.params.loop_control);
+        self.bump_event()?;
+        Ok(true)
+    }
+
     #[inline]
     fn to_int(&self, v: V, line: u32) -> R<i64> {
         match v {
@@ -781,32 +808,55 @@ impl<'a> Machine<'a> {
         }
     }
 
-    /// An element access's subscripts, in a fixed buffer (Fortran arrays
-    /// have at most seven dimensions), and their count.
+    /// `n` subscripts popped off the stack, in a fixed buffer (Fortran
+    /// arrays have at most seven dimensions).
+    fn subs(&mut self, n: u8, line: u32) -> R<[i64; 8]> {
+        let (n, mut out) = (usize::from(n), [0; 8]);
+        if n > out.len() {
+            return Err(self.invalid(line, "more than 8 subscripts"));
+        }
+        let base = self.stack.len() - n;
+        for (k, s) in out.iter_mut().enumerate().take(n) {
+            *s = self.to_int(self.stack[base + k].v, line)?;
+        }
+        self.stack.truncate(base);
+        Ok(out)
+    }
+
+    /// An element access's array and element offset. Slot subscripts are
+    /// addressed in place (rank 1 or 2). Errors keep the walker's order:
+    /// subscript, then array, then bounds.
     #[inline]
-    fn subs(&mut self, subs: Subs, line: u32) -> R<([i64; 8], usize)> {
-        let mut out = [0; 8];
-        match subs {
-            Subs::Var(a) => out[0] = self.to_int(self.scalar(a)?, line)?,
+    fn addr(&mut self, slot: Sr, subs: Subs, line: u32) -> R<(usize, usize)> {
+        let (i, j) = match subs {
+            Subs::Var(a) => (self.to_int(self.scalar(a)?, line)?, None),
+            Subs::Off(a, k) => {
+                let i = self.to_int(self.scalar(a)?, line)?;
+                self.charge_plain(self.params.op_int);
+                (i.wrapping_add(i64::from(k)), None)
+            }
             Subs::Vars(a, b) => {
                 let (a, b) = (self.scalar(a)?, self.scalar(b)?);
-                out[0] = self.to_int(a, line)?;
-                out[1] = self.to_int(b, line)?;
+                (self.to_int(a, line)?, Some(self.to_int(b, line)?))
             }
             Subs::Stack(n) => {
-                let n = usize::from(n);
-                if n > out.len() {
-                    return Err(self.invalid(line, "more than 8 subscripts"));
-                }
-                let base = self.stack.len() - n;
-                for (k, s) in out.iter_mut().enumerate().take(n) {
-                    *s = self.to_int(self.stack[base + k].v, line)?;
-                }
-                self.stack.truncate(base);
-                return Ok((out, n));
+                let subs = self.subs(n, line)?;
+                let id = self.arr(slot, line)?;
+                let off = self.arrays[id].offset(&subs[..usize::from(n)]);
+                return off.map(|off| (id, off)).ok_or_else(|| self.oob(line));
             }
-        }
-        Ok((out, 1 + usize::from(matches!(subs, Subs::Vars(..)))))
+        };
+        let id = self.arr(slot, line)?;
+        let off = match (&self.arrays[id].bounds[..], j) {
+            (&[(lo, hi)], None) if (lo..=hi).contains(&i) => (i - lo) as usize,
+            (&[(lo, hi), (lo2, hi2)], Some(j))
+                if (lo..=hi).contains(&i) && (lo2..=hi2).contains(&j) =>
+            {
+                (i - lo) as usize + (j - lo2) as usize * (hi - lo + 1) as usize
+            }
+            _ => return Err(self.oob(line)),
+        };
+        Ok((id, off))
     }
 
     fn pop_bounds(&mut self, n: usize, line: u32) -> R<Vec<(i64, i64)>> {
@@ -834,13 +884,11 @@ impl<'a> Machine<'a> {
         }
     }
 
-    #[inline]
-    fn offset(&self, id: usize, subs: &[i64], line: u32) -> R<usize> {
-        self.arrays[id].offset(subs).ok_or_else(|| {
-            Box::new(RunError::OutOfBounds {
-                proc: self.name(),
-                line: self.at_line(line),
-            })
+    #[cold]
+    fn oob(&self, line: u32) -> Box<RunError> {
+        Box::new(RunError::OutOfBounds {
+            proc: self.name(),
+            line: self.at_line(line),
         })
     }
 
@@ -1222,11 +1270,9 @@ impl<'a> Machine<'a> {
     }
 
     fn fold_top_loop(&mut self) {
-        if let Some(ctx) = self.loop_stack.pop() {
-            for (proc, cycles) in ctx.fold(&self.params).0 {
-                self.proc_cycles[proc] += cycles;
-                self.total += cycles;
-            }
+        if let Some(mut ctx) = self.loop_stack.pop() {
+            ctx.fold(&self.params, &mut self.proc_cycles, &mut self.total);
+            self.spare_loops.push(ctx);
         }
     }
 
@@ -1319,9 +1365,7 @@ impl<'a> Machine<'a> {
     // ---- arrays ----------------------------------------------------------
 
     fn load_elem(&mut self, slot: Sr, subs: Subs) -> R<()> {
-        let (subs, n) = self.subs(subs, 0)?;
-        let id = self.arr(slot, 0)?;
-        let off = self.offset(id, &subs[..n], 0)?;
+        let (id, off) = self.addr(slot, subs, 0)?;
         let a = &self.arrays[id];
         let v = match &a.data {
             ArrayData::Int(d) => V::Int(d[off]),
@@ -1339,10 +1383,8 @@ impl<'a> Machine<'a> {
 
     /// `[value, subs..n] -> []`: store through an array element.
     fn store_elem(&mut self, slot: Sr, subs: Subs, line: u32, mode: StoreMode) -> R<()> {
-        let (subs, n) = self.subs(subs, line)?;
+        let (id, off) = self.addr(slot, subs, line)?;
         let e = self.pop();
-        let id = self.arr(slot, line)?;
-        let off = self.offset(id, &subs[..n], line)?;
         match self.arrays[id].data.fp_precision() {
             Some(p) => {
                 let fv = self.store_fp(e.v, p, line)?;
@@ -1602,9 +1644,6 @@ impl<'a> Machine<'a> {
             Pair::Int(x, y) => {
                 self.charge_plain(self.params.op_int);
                 Ok(V::Int(match op {
-                    BinOp::Add => x.wrapping_add(y),
-                    BinOp::Sub => x.wrapping_sub(y),
-                    BinOp::Mul => x.wrapping_mul(y),
                     BinOp::Div if y == 0 => {
                         return Err(Box::new(RunError::DivByZero {
                             proc: self.name(),
